@@ -30,7 +30,7 @@ use copier::mem::{Prot, PAGE_SIZE};
 use copier::os::Os;
 use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim};
 use copier_bench::json::Json;
-use copier_bench::{kb, section};
+use copier_bench::{kb, paired_min_ms, section};
 
 /// One fig07-class run: `ncopies` unit copies of `len` bytes through the
 /// full service stack, optionally journaled. Returns (virtual end ns,
@@ -88,23 +88,6 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
-}
-
-/// Minimum wall-clock milliseconds over `reps` *interleaved* runs of the
-/// two variants. Sequential batches (all of A, then all of B) fold any
-/// drift in host load into the ratio; pairing each A with an adjacent B
-/// and taking minima measures the code, not the machine.
-fn paired_min_ms(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
-    let mut best = (f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        a();
-        best.0 = best.0.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t1 = Instant::now();
-        b();
-        best.1 = best.1.min(t1.elapsed().as_secs_f64() * 1e3);
-    }
-    best
 }
 
 /// Builds a store holding `depth` live admissions (plus an epoch record),

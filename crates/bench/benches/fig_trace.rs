@@ -3,10 +3,11 @@
 //! Three sections over a fig07-class unit-copy workload (N× 256 KB
 //! amemcpy + csync_all through the full service stack, faults injected):
 //!
-//! - `record` — host wall-clock of the same run untraced vs. recorded.
-//!   Recording is host-side only (virtual time is identical by
-//!   construction — asserted here), so the overhead is pure event
-//!   append; the acceptance bar is ≤ 10%.
+//! - `record` — host wall-clock of the same run untraced vs. recorded,
+//!   as minima over interleaved pairs. Recording is host-side only
+//!   (virtual time is identical by construction — asserted here), so the
+//!   overhead is event append plus memory digests; the acceptance bar is
+//!   ≤ 10%.
 //! - `replay` — the recorded trace replayed in lockstep: no divergence,
 //!   the same virtual end time, and a re-recorded log that encodes to
 //!   the same bytes as the original.
@@ -25,7 +26,7 @@ use copier::mem::Prot;
 use copier::os::Os;
 use copier::sim::{FaultConfig, FaultPlan, Machine, Sim, Trace, TraceEvent, Tracer};
 use copier_bench::json::Json;
-use copier_bench::{kb, section};
+use copier_bench::{kb, paired_min_ms, section};
 
 struct RunOut {
     end: u64,
@@ -99,25 +100,12 @@ fn run_once(ncopies: usize, len: usize, seed: u64, tracer: Option<Rc<Tracer>>) -
     }
 }
 
-/// Median wall-clock milliseconds of `reps` runs of `f`.
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 fn main() {
     let smoke = std::env::var("TRACE_SMOKE").is_ok_and(|v| v == "1");
     let (ncopies, len, reps) = if smoke {
         (8, 64 * 1024, 3)
     } else {
-        (64, 256 * 1024, 9)
+        (64, 256 * 1024, 27)
     };
     let seed = 0x7ACE_D00Du64;
     let bytes = (ncopies * len) as u64;
@@ -129,12 +117,15 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         kb(len)
     );
-    let base_ms = median_ms(reps, || {
-        run_once(ncopies, len, seed, None);
-    });
-    let traced_ms = median_ms(reps, || {
-        run_once(ncopies, len, seed, Some(Tracer::record()));
-    });
+    let (base_ms, traced_ms) = paired_min_ms(
+        reps,
+        || {
+            run_once(ncopies, len, seed, None);
+        },
+        || {
+            run_once(ncopies, len, seed, Some(Tracer::record()));
+        },
+    );
     let overhead = traced_ms / base_ms - 1.0;
 
     // Recording must not perturb virtual time, and the trace must be
@@ -172,7 +163,7 @@ fn main() {
     let mut hit = None;
     for (i, e) in trace.events().iter().enumerate() {
         match e {
-            TraceEvent::RoundStart { round: r, .. } => round = *r,
+            TraceEvent::ShardRoundStart { round: r, .. } => round = *r,
             // Perturb a draw from the middle third of the stream so there
             // is a healthy replayed prefix before the flip.
             TraceEvent::DmaDraw { .. } if hit.is_none() && i > trace.events().len() / 3 => {

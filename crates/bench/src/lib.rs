@@ -56,6 +56,23 @@ pub fn stats(samples: &mut [Nanos]) -> Stats {
     }
 }
 
+/// Minimum wall-clock milliseconds over `reps` *interleaved* runs of the
+/// two variants. Sequential batches (all of A, then all of B) fold any
+/// drift in host load into the ratio; pairing each A with an adjacent B
+/// and taking minima measures the code, not the machine.
+pub fn paired_min_ms(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let mut best = (f64::MAX, f64::MAX);
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        a();
+        best.0 = best.0.min(t0.elapsed().as_secs_f64() * 1e3);
+        let t1 = std::time::Instant::now();
+        b();
+        best.1 = best.1.min(t1.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
 /// Prints a section header.
 pub fn section(title: &str) {
     println!();

@@ -79,33 +79,38 @@ struct DbValue {
     cap: usize,
 }
 
-/// The server state.
-/// Deferred cleanup: the guard descriptor to wait on, plus the
-/// intermediate copies to abort once it lands.
+/// Cleanup owed from the previous request of a connection (Copier
+/// mode): the guard descriptor to wait on, plus the intermediate copies
+/// to abort once it lands — the paper's lazy+abort reuse pattern (§4.4,
+/// §5.1 low-level APIs).
 type PrevCleanup = Option<(Rc<SegDescriptor>, Vec<Rc<SegDescriptor>>)>;
 
+/// A connection's fixed I/O buffer (requests land here) and output
+/// buffer (replies are assembled here).
+#[derive(Clone, Copy)]
+struct ConnBufs {
+    io: VirtAddr,
+    out: VirtAddr,
+}
+
+/// The server state.
 pub struct RedisServer {
     os: Rc<Os>,
     net: Rc<NetStack>,
     /// The server process.
     pub proc: Rc<Process>,
     mode: RedisMode,
-    io_buf: VirtAddr,
-    out_buf: VirtAddr,
     cap: usize,
+    /// Idle buffer pairs. A `serve` call holds one for its whole run and
+    /// returns it, so sequential calls reuse the same fixed buffers (the
+    /// address recurrence that feeds the ATCache) while concurrent calls
+    /// never share one.
+    bufs: RefCell<Vec<ConnBufs>>,
     db: RefCell<HashMap<Vec<u8>, DbValue>>,
     /// Recycled value buffers by capacity (address recurrence).
     pool: RefCell<Vec<(usize, VirtAddr)>>,
     /// Requests served.
     pub served: std::cell::Cell<u64>,
-    /// Cleanup owed from the previous request (Copier mode): wait for the
-    /// guard descriptor, then abort the listed intermediate copies — the
-    /// paper's lazy+abort reuse pattern (§4.4, §5.1 low-level APIs).
-    prev: RefCell<PrevCleanup>,
-    /// Descriptor of the last recv task (abort target on SET).
-    last_recv: RefCell<Option<Rc<SegDescriptor>>>,
-    /// Descriptor of the pending GET output-mediator copy.
-    out_pending: RefCell<Option<Rc<SegDescriptor>>>,
 }
 
 impl RedisServer {
@@ -117,22 +122,17 @@ impl RedisServer {
         cap: usize,
     ) -> Result<Rc<Self>, MemError> {
         let proc = os.spawn_process();
-        let io_buf = proc.space.mmap(cap, Prot::RW, true)?;
-        let out_buf = proc.space.mmap(cap, Prot::RW, true)?;
+        let first = map_bufs(&proc, cap)?;
         Ok(Rc::new(RedisServer {
             os: Rc::clone(os),
             net: Rc::clone(net),
             proc,
             mode,
-            io_buf,
-            out_buf,
             cap,
+            bufs: RefCell::new(vec![first]),
             db: RefCell::new(HashMap::new()),
             pool: RefCell::new(Vec::new()),
             served: std::cell::Cell::new(0),
-            prev: RefCell::new(None),
-            last_recv: RefCell::new(None),
-            out_pending: RefCell::new(None),
         }))
     }
 
@@ -146,20 +146,30 @@ impl RedisServer {
     }
 
     /// Serves requests on `sock` until `limit` requests are handled.
+    /// Re-entrant: every call keeps its own buffers and cleanup state, so
+    /// several connections may be served concurrently.
     pub async fn serve(self: &Rc<Self>, core: &Rc<Core>, sock: Rc<Socket>, limit: u64) {
         let mode = self.mode.clone();
         let copier = matches!(mode, RedisMode::Copier);
+        let popped = self.bufs.borrow_mut().pop();
+        let bufs = match popped {
+            Some(b) => b,
+            None => {
+                map_bufs(&self.proc, self.cap).expect("frames for a second connection's buffers")
+            }
+        };
+        let mut prev: PrevCleanup = None;
         for _ in 0..limit {
             if copier {
-                self.cleanup_previous(core).await;
+                self.cleanup(core, prev.take()).await;
             }
-            let (n, descr) = match self
+            let (n, last_recv) = match self
                 .net
                 .recv_opts(
                     core,
                     &self.proc,
                     &sock,
-                    self.io_buf,
+                    bufs.io,
                     self.cap,
                     mode.recv_mode(),
                     copier, // recv copies are mediators: header/key synced, value absorbed
@@ -168,22 +178,25 @@ impl RedisServer {
                 .await
             {
                 Ok(r) => r,
-                Err(_) => return,
+                Err(_) => break,
             };
-            *self.last_recv.borrow_mut() = descr;
-            self.handle_request(core, &sock, n).await.expect("request");
+            prev = self
+                .handle_request(core, &sock, bufs, n, last_recv)
+                .await
+                .expect("request");
             self.served.set(self.served.get() + 1);
         }
         if copier {
-            self.cleanup_previous(core).await;
+            self.cleanup(core, prev).await;
         }
+        self.bufs.borrow_mut().push(bufs);
     }
 
     /// Waits for the previous request's dependent copy to land, then
     /// aborts the intermediate-buffer obligations so buffer reuse does not
     /// re-materialize absorbed copies.
-    async fn cleanup_previous(self: &Rc<Self>, core: &Rc<Core>) {
-        let Some((guard, aborts)) = self.prev.borrow_mut().take() else {
+    async fn cleanup(self: &Rc<Self>, core: &Rc<Core>, prev: PrevCleanup) {
+        let Some((guard, aborts)) = prev else {
             return;
         };
         let lib = self.proc.lib();
@@ -195,12 +208,18 @@ impl RedisServer {
         }
     }
 
+    /// Handles one request received into `bufs.io`; `last_recv` is the
+    /// recv task's descriptor (Copier mode). Returns the cleanup the
+    /// request leaves for the next one.
     async fn handle_request(
         self: &Rc<Self>,
         core: &Rc<Core>,
         sock: &Rc<Socket>,
+        bufs: ConnBufs,
         n: usize,
-    ) -> Result<(), MemError> {
+        last_recv: Option<Rc<SegDescriptor>>,
+    ) -> Result<PrevCleanup, MemError> {
+        let mut prev: PrevCleanup = None;
         let space = &self.proc.space;
         let copier = matches!(self.mode, RedisMode::Copier);
         let lib = copier.then(|| self.proc.lib());
@@ -208,28 +227,26 @@ impl RedisServer {
         // Parse the header — with Copier, sync only the bytes used so the
         // value keeps streaming (copy-use pipeline).
         if let Some(lib) = &lib {
-            lib.csync(core, self.io_buf, 9).await.expect("hdr");
+            lib.csync(core, bufs.io, 9).await.expect("hdr");
         }
         core.advance(PARSE_COST).await;
         let mut hdr = [0u8; 9];
-        space.read_bytes(self.io_buf, &mut hdr)?;
+        space.read_bytes(bufs.io, &mut hdr)?;
         let op = if hdr[0] == 0 { Op::Set } else { Op::Get };
         let klen = u32::from_le_bytes(hdr[1..5].try_into().unwrap()) as usize;
         let vlen = u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize;
         assert_eq!(n, 9 + klen + if op == Op::Set { vlen } else { 0 });
 
         if let Some(lib) = &lib {
-            lib.csync(core, self.io_buf.add(9), klen)
-                .await
-                .expect("key");
+            lib.csync(core, bufs.io.add(9), klen).await.expect("key");
         }
         let mut key = vec![0u8; klen];
-        space.read_bytes(self.io_buf.add(9), &mut key)?;
+        space.read_bytes(bufs.io.add(9), &mut key)?;
         core.advance(TABLE_COST).await;
 
         match op {
             Op::Set => {
-                let src = self.io_buf.add(9 + klen);
+                let src = bufs.io.add(9 + klen);
                 // Reclaim any previous buffer for this key.
                 if let Some(old) = self.db.borrow_mut().remove(&key) {
                     self.pool.borrow_mut().push((old.cap, old.va));
@@ -253,8 +270,7 @@ impl RedisServer {
                                 // Once this copy lands, the recv task's value
                                 // segments are pure dead weight — abort them
                                 // before the I/O buffer is reused.
-                                let aborts = self.last_recv.borrow().iter().cloned().collect();
-                                *self.prev.borrow_mut() = Some((d, aborts));
+                                prev = Some((d, last_recv.iter().cloned().collect()));
                             }
                             Err(_) => {
                                 // Overloaded: materialize the lazy recv bytes,
@@ -284,17 +300,10 @@ impl RedisServer {
                     },
                 );
                 // Reply "+OK".
-                space.write_bytes(self.out_buf, &2u32.to_le_bytes())?;
-                space.write_bytes(self.out_buf.add(4), b"OK")?;
+                space.write_bytes(bufs.out, &2u32.to_le_bytes())?;
+                space.write_bytes(bufs.out.add(4), b"OK")?;
                 self.net
-                    .send(
-                        core,
-                        &self.proc,
-                        sock,
-                        self.out_buf,
-                        6,
-                        self.mode.send_mode(),
-                    )
+                    .send(core, &self.proc, sock, bufs.out, 6, self.mode.send_mode())
                     .await?;
             }
             Op::Get => {
@@ -303,11 +312,13 @@ impl RedisServer {
                     let v = db.get(&key).expect("key exists");
                     (v.va, v.len)
                 };
-                space.write_bytes(self.out_buf, &(vl as u32).to_le_bytes())?;
+                space.write_bytes(bufs.out, &(vl as u32).to_le_bytes())?;
+                // The value → output-buffer mediator copy (Copier mode).
+                let mut out_pending: Option<Rc<SegDescriptor>> = None;
                 // Copy 3: value buffer → output buffer.
                 match &self.mode {
                     RedisMode::Zio(zio) => {
-                        zio.memcpy(core, &self.proc, self.out_buf.add(4), vva, vl)
+                        zio.memcpy(core, &self.proc, bufs.out.add(4), vva, vl)
                             .await?;
                     }
                     RedisMode::Copier => {
@@ -319,7 +330,7 @@ impl RedisServer {
                             .unwrap()
                             ._amemcpy(
                                 core,
-                                self.out_buf.add(4),
+                                bufs.out.add(4),
                                 vva,
                                 vl,
                                 AmemcpyOpts {
@@ -329,26 +340,17 @@ impl RedisServer {
                             )
                             .await;
                         match od {
-                            Ok(od) => *self.out_pending.borrow_mut() = Some(od),
+                            Ok(od) => out_pending = Some(od),
                             Err(_) => {
                                 // Overloaded: no mediator to absorb; produce
                                 // the reply bytes synchronously (§4.6).
-                                *self.out_pending.borrow_mut() = None;
-                                sync_memcpy(
-                                    core,
-                                    &self.os.cost,
-                                    space,
-                                    self.out_buf.add(4),
-                                    vva,
-                                    vl,
-                                )
-                                .await?;
+                                sync_memcpy(core, &self.os.cost, space, bufs.out.add(4), vva, vl)
+                                    .await?;
                             }
                         }
                     }
                     _ => {
-                        sync_memcpy(core, &self.os.cost, space, self.out_buf.add(4), vva, vl)
-                            .await?;
+                        sync_memcpy(core, &self.os.cost, space, bufs.out.add(4), vva, vl).await?;
                     }
                 }
                 // Copy 4: output buffer → kernel in send().
@@ -358,7 +360,7 @@ impl RedisServer {
                         core,
                         &self.proc,
                         sock,
-                        self.out_buf,
+                        bufs.out,
                         4 + vl,
                         self.mode.send_mode(),
                         0,
@@ -368,17 +370,21 @@ impl RedisServer {
                     // After the reply is assembled in the kernel, the
                     // value → output-buffer mediator (and the recv task's
                     // remainder) can be discarded.
-                    let mut aborts: Vec<Rc<SegDescriptor>> =
-                        self.last_recv.borrow().iter().cloned().collect();
-                    if let Some(od) = &*self.out_pending.borrow() {
-                        aborts.push(Rc::clone(od));
-                    }
-                    *self.prev.borrow_mut() = Some((d, aborts));
+                    let aborts = last_recv.into_iter().chain(out_pending).collect();
+                    prev = Some((d, aborts));
                 }
             }
         }
-        Ok(())
+        Ok(prev)
     }
+}
+
+/// Maps one connection's buffer pair.
+fn map_bufs(proc: &Rc<Process>, cap: usize) -> Result<ConnBufs, MemError> {
+    Ok(ConnBufs {
+        io: proc.space.mmap(cap, Prot::RW, true)?,
+        out: proc.space.mmap(cap, Prot::RW, true)?,
+    })
 }
 
 /// One measured request from a closed-loop client.
@@ -558,5 +564,97 @@ mod tests {
     fn zerocopy_send_mode_correct() {
         let (avg, _) = run(RedisMode::ZeroCopySend, false, 64 * 1024, 3);
         assert!(avg > Nanos::ZERO);
+    }
+
+    /// Two connections served by two concurrent `serve` tasks on one
+    /// server, 2 × 220 mixed GET/SET requests over per-connection keys
+    /// and 1–16 KiB values: every GET returns its key's last SET. Returns
+    /// the number of GETs checked.
+    fn two_connections(mode: RedisMode, with_copier: bool) -> usize {
+        const CONNS: usize = 2;
+        const REQS: usize = 220;
+        const KEYS: usize = 4;
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let machine = Machine::new(&h, CONNS + 2);
+        let os = Os::boot(&h, machine, 16 * 1024);
+        if with_copier {
+            os.install_copier(vec![os.machine.core(CONNS + 1)], Default::default());
+        }
+        let net = NetStack::new(&os);
+        let server = RedisServer::new(&os, &net, mode, 64 * 1024).unwrap();
+        let score = os.machine.core(CONNS);
+        let gets = Rc::new(std::cell::Cell::new(0usize));
+        let done = Rc::new(std::cell::Cell::new(0usize));
+        for c in 0..CONNS {
+            let (cs, ss) = net.socket_pair();
+            let (server2, score2) = (Rc::clone(&server), Rc::clone(&score));
+            sim.spawn("server-conn", async move {
+                server2.serve(&score2, ss, REQS as u64).await;
+            });
+            let (os2, net2, gets2, done2) = (
+                Rc::clone(&os),
+                Rc::clone(&net),
+                Rc::clone(&gets),
+                Rc::clone(&done),
+            );
+            let core = os.machine.core(c);
+            sim.spawn("client", async move {
+                let proc = os2.spawn_process();
+                let cap = 9 + 16 + 16 * 1024 + 64;
+                let tx = proc.space.mmap(cap, Prot::RW, true).unwrap();
+                let rx = proc.space.mmap(cap, Prot::RW, true).unwrap();
+                let rng = SimRng::new(0x2C0 + c as u64);
+                let mut model: Vec<Vec<u8>> = vec![Vec::new(); KEYS];
+                for i in 0..REQS {
+                    let k = i % KEYS;
+                    // Every key is SET once before its first GET.
+                    let op = if i < KEYS || rng.gen_bool(0.5) {
+                        Op::Set
+                    } else {
+                        Op::Get
+                    };
+                    if op == Op::Set {
+                        let mut v = vec![0u8; rng.range_usize(1024, 16 * 1024 + 1)];
+                        rng.fill_bytes(&mut v);
+                        model[k] = v;
+                    }
+                    let key = format!("conn{c}:key{k}");
+                    let len = encode_request(&proc, tx, op, key.as_bytes(), &model[k]).unwrap();
+                    net2.send(&core, &proc, &cs, tx, len, IoMode::Sync)
+                        .await
+                        .unwrap();
+                    let (n, _) = net2
+                        .recv(&core, &proc, &cs, rx, cap, IoMode::Sync)
+                        .await
+                        .unwrap();
+                    if op == Op::Get {
+                        let mut got = vec![0u8; n - 4];
+                        proc.space.read_bytes(rx.add(4), &mut got).unwrap();
+                        assert!(got == model[k], "conn {c} request {i}: GET {key} is stale");
+                        gets2.set(gets2.get() + 1);
+                    }
+                }
+                done2.set(done2.get() + 1);
+                if done2.get() == CONNS {
+                    if let Some(svc) = os2.copier.borrow().as_ref() {
+                        svc.stop();
+                    }
+                }
+            });
+        }
+        sim.run();
+        assert_eq!(server.served.get(), (CONNS * REQS) as u64);
+        gets.get()
+    }
+
+    #[test]
+    fn concurrent_serve_tasks_keep_connections_apart() {
+        for (mode, with_copier) in [(RedisMode::Baseline, false), (RedisMode::Copier, true)] {
+            assert!(
+                two_connections(mode, with_copier) > 100,
+                "too few GETs checked"
+            );
+        }
     }
 }

@@ -127,7 +127,7 @@ impl CopierHandle {
     }
 
     /// The control-plane shard serving this client (DESIGN.md §17):
-    /// always 0 on an unsharded service. Purely observational — the
+    /// always 0 on a one-shard service. Purely observational — the
     /// library never routes by shard; the service stamps ownership at
     /// registration/adoption from the address-space hash.
     pub fn shard(&self) -> usize {
@@ -891,8 +891,8 @@ impl CopierHandle {
             .is_ok();
         if placed {
             // The barrier sits in the k-ring until drained: ring the
-            // doorbell so the O(active) fast path sees it even if no
-            // copy follows inside the section.
+            // doorbell so the shard's active set holds the client even if
+            // no copy follows inside the section.
             self.doorbell();
         }
         KernelSection {

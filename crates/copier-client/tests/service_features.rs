@@ -2,10 +2,13 @@
 //! cgroup `copier.shares` isolation (§4.5.2), queue backpressure,
 //! scenario-driven activation (§5.3), and `shm_descr_bind` (Table 2).
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
-use copier_client::CopierHandle;
-use copier_core::{Copier, CopierConfig, PollMode};
+use copier_client::{AmemcpyOpts, CopierHandle};
+use copier_core::{
+    AdmissionConfig, Copier, CopierConfig, CopyFault, Handler, PollMode, SegDescriptor,
+};
 use copier_hw::CostModel;
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem, Prot};
 use copier_sim::{Machine, Nanos, Sim};
@@ -29,9 +32,12 @@ fn world(cores: usize, cfg: CopierConfig) -> (Sim, Rc<Machine>, Rc<PhysMem>, Rc<
 
 #[test]
 fn auto_scaling_adds_threads_under_load_and_sheds_them() {
+    // Three service cores, one shard per core: barrier auto-scaling
+    // chooses how many of the three threads serve the shards.
     let (mut sim, machine, pm, svc) = world(
         4,
         CopierConfig {
+            shards: 3,
             auto_scale: true,
             high_load: 256 * 1024,
             low_load: 8 * 1024,
@@ -77,6 +83,77 @@ fn auto_scaling_adds_threads_under_load_and_sheds_them() {
         peak.get()
     );
     assert_eq!(svc.active_threads(), 1, "idle sheds back to one");
+}
+
+/// Aborted window entries retire at the abort (§4.4): a client that
+/// submits and aborts more lazy copies than its in-flight quota, and
+/// never csyncs, is never refused — every handler fires exactly once,
+/// observing `Aborted`, and nothing lingers in the window or the index.
+#[test]
+fn aborted_lazy_copies_retire_without_csync() {
+    const QUOTA: u64 = 8;
+    const COPIES: usize = 5 * QUOTA as usize;
+    let (mut sim, machine, pm, svc) = world(
+        2,
+        CopierConfig {
+            admission: AdmissionConfig {
+                max_client_tasks: QUOTA,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    );
+    let space = AddressSpace::new(1, Rc::clone(&pm));
+    let lib = CopierHandle::new(&svc, Rc::clone(&space));
+    let core = machine.core(0);
+    let fired: Rc<RefCell<Vec<Vec<Option<CopyFault>>>>> =
+        Rc::new(RefCell::new(vec![Vec::new(); COPIES]));
+    let (lib2, svc2, fired2, h) = (
+        Rc::clone(&lib),
+        Rc::clone(&svc),
+        Rc::clone(&fired),
+        sim.handle(),
+    );
+    sim.spawn("app", async move {
+        let len = 16 * 1024;
+        let src = space.mmap(len, Prot::RW, true).unwrap();
+        let dst = space.mmap(len, Prot::RW, true).unwrap();
+        for i in 0..COPIES {
+            let d = Rc::new(SegDescriptor::new(len, svc2.config().segment));
+            let (d2, log) = (Rc::clone(&d), Rc::clone(&fired2));
+            let opts = AmemcpyOpts {
+                func: Some(Handler::KFunc(Rc::new(move || {
+                    log.borrow_mut()[i].push(d2.fault());
+                }))),
+                descr: Some(Rc::clone(&d)),
+                lazy: true,
+                ..Default::default()
+            };
+            let r = lib2._amemcpy(&core, dst, src, len, opts).await;
+            assert!(r.is_ok(), "copy {i} refused: {:?}", r.err());
+            // Let the copy drain into the window (it stays unexecuted for
+            // the lazy period) so the abort finds it there.
+            h.sleep(Nanos::from_micros(5)).await;
+            lib2.abort_task(&core, &d, 0).await;
+        }
+        h.sleep(Nanos::from_micros(100)).await;
+        svc2.stop();
+    });
+    sim.run();
+    for (i, f) in fired.borrow().iter().enumerate() {
+        assert_eq!(
+            f,
+            &[Some(CopyFault::Aborted)],
+            "copy {i} handler deliveries"
+        );
+    }
+    let set = lib.client.default_set();
+    assert!(
+        set.pending.borrow().is_empty(),
+        "aborted entries left in the window"
+    );
+    assert!(set.index.is_empty(), "aborted entries left in the index");
+    assert_eq!(lib.client.inflight_tasks.get(), 0, "in-flight quota leaked");
 }
 
 #[test]

@@ -80,9 +80,8 @@ pub struct PendEntry {
     pub submitted_at: Nanos,
     /// Pinned frames to release at completion: `(space, frames)`.
     pub pins: RefCell<Vec<(Rc<AddressSpace>, Vec<FrameId>)>>,
-    /// Set by the first finalizer — makes completion idempotent even if
-    /// two service threads transiently share a client during auto-scale
-    /// rebalancing.
+    /// Set by the first finalizer — makes completion idempotent when a
+    /// reap or a crash adoption races an open round over the entry.
     pub finalized: Cell<bool>,
 }
 
@@ -265,22 +264,21 @@ pub struct Client {
     pub epoch: Cell<u64>,
     /// Control-plane shard owning this client (DESIGN.md §17). Stamped by
     /// the service at registration/adoption from the deterministic hash of
-    /// the client's address-space id; 0 on unsharded services. Every
-    /// drain/schedule/finalize touch of this client happens on its shard.
+    /// the client's address-space id. Every drain/schedule/finalize touch
+    /// of this client happens in its shard's rounds.
     pub shard: Cell<usize>,
     /// Registration sequence number (DESIGN.md §18): stamped by the
     /// service at registration *and* adoption from a monotone counter, so
     /// iterating clients in `reg_seq` order is exactly the clients-vec
-    /// (registration) order the legacy full sweep used — scheduler
-    /// tie-breaks stay identical under active-set iteration.
+    /// (registration) order — scheduler tie-breaks do not depend on when
+    /// a client entered its shard's active set.
     pub reg_seq: Cell<u64>,
     /// Membership flag for the per-shard active set (O(1) idempotent
-    /// doorbell). Maintained only on the O(active) fast path.
+    /// doorbell).
     pub active: Cell<bool>,
-    /// Cached per-client trace-hash contribution `(hp, hx)` plus a dirty
-    /// flag, for the delta-folded multi-shard trace hashes (§18). Only
-    /// meaningful while the service runs with a tracer, `shards > 1`, and
-    /// the fast path enabled.
+    /// Cached per-client trace-hash contribution `(hp, hx)` for the
+    /// delta-folded per-shard trace hashes (§18). Only meaningful while
+    /// the service runs with a tracer.
     pub hash_cache: Cell<(u64, u64)>,
     /// Whether `hash_cache` is stale (client was touched since the last
     /// fold). Guards duplicate entries in the shard's dirty list.

@@ -8,11 +8,13 @@ use copier_sim::{FaultPlan, Nanos, Tracer};
 use crate::descriptor::DEFAULT_SEGMENT;
 use crate::sched::DEFAULT_COPY_SLICE;
 
-/// How the Copier threads poll client queues (§4.5.1).
+/// How the Copier threads poll client queues (§4.5.1). Either mode runs
+/// at any shard count: idleness is agreed at the round barrier, so the
+/// threads spin down and park together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollMode {
-    /// NAPI-like adaptive polling: spin for a budget of idle sweeps, then
-    /// park until awakened or the timeout elapses.
+    /// NAPI-like adaptive polling: spin for a budget of idle
+    /// generations, then park until awakened or the timeout elapses.
     Napi {
         /// Consecutive idle sweeps before parking.
         spin_rounds: u32,
@@ -20,7 +22,8 @@ pub enum PollMode {
         park_timeout: Nanos,
     },
     /// Scenario-driven (the smartphone mode, §5.3): threads run only while
-    /// a target scenario is active and sleep otherwise.
+    /// a target scenario is active and sleep otherwise; inside a scenario
+    /// they park after a few idle generations until awakened.
     ScenarioDriven,
 }
 
@@ -79,11 +82,15 @@ pub struct CopierConfig {
     pub fault_plan: Option<Rc<FaultPlan>>,
     /// ATCache entries (0 disables the cache).
     pub atcache_capacity: usize,
-    /// Polling behavior.
+    /// Polling behavior (see [`PollMode`]).
     pub polling: PollMode,
     /// Maximum bytes served per scheduling decision.
     pub copy_slice: usize,
-    /// Enable thread auto-scaling between 1 and the provided core count.
+    /// Enable thread auto-scaling (§4.5.1): the last arriver at each
+    /// round barrier sets the number of active service threads k in
+    /// `1..=shards` from the summed pending-byte load, and thread t
+    /// serves the shards `{h : h mod k = t}`. Off, k = `shards`. With
+    /// one shard there is nothing to scale.
     pub auto_scale: bool,
     /// Pending-byte load below which a thread is put to sleep.
     pub low_load: usize,
@@ -136,25 +143,15 @@ pub struct CopierConfig {
     /// Scrubber cadence: one registered chunk is re-digested every this
     /// many scheduling rounds (0 disables the scrubber walk).
     pub scrub_period: u64,
-    /// Number of control-plane shards (DESIGN.md §17). 1 (the default)
-    /// is the classic single-instance service, byte-identical to every
-    /// pre-shard build. N > 1 partitions clients across N service cores
-    /// by a deterministic hash of the client's address-space id; shards
-    /// coordinate admission and fairness through a deterministic round
-    /// barrier, so runs stay bit-reproducible from a seed at any shard
-    /// count. Requires `cores.len() >= shards`, `auto_scale == false`,
-    /// and NAPI polling.
+    /// Number of control-plane shards (DESIGN.md §17). Clients are
+    /// partitioned across the shards by a deterministic hash of their
+    /// address-space id, and one service thread runs per shard on its
+    /// own core (`cores.len() >= shards`; spare cores stay free). Every
+    /// shard count runs the same round loop: shards coordinate
+    /// admission, fairness and auto-scaling through a deterministic
+    /// round barrier, so runs stay bit-reproducible from a seed at any
+    /// shard count. The default, 1, is a barrier of one.
     pub shards: usize,
-    /// Debug/reference switch (DESIGN.md §18): when `true`, every
-    /// control-plane read path falls back to the legacy full sweeps over
-    /// the whole client table (assignment rebuild each round, O(clients)
-    /// min-vruntime scans, O(clients × sets) autoscale load sums, full
-    /// trace-hash folds). The incremental aggregates are still
-    /// *maintained* either way — only the reads differ — so a full-sweep
-    /// run is the differential reference the O(active) fast path is
-    /// tested against. Outcomes and virtual time are identical in both
-    /// modes at fixed (seed, shards).
-    pub full_sweep: bool,
 }
 
 impl Default for CopierConfig {
@@ -190,7 +187,6 @@ impl Default for CopierConfig {
             admit_digest_stride: 0,
             scrub_period: 64,
             shards: 1,
-            full_sweep: false,
         }
     }
 }

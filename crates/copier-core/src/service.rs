@@ -38,12 +38,12 @@ use crate::journal::{AdmitRec, Journal, JournalStats, Recovered, TaintRec};
 use crate::sched::{min_live_vruntime, vruntime_before, Scheduler};
 use crate::task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};
 
-/// Per-thread dispatch progress map, reused across rounds (cleared, not
+/// Per-shard dispatch progress map, reused across rounds (cleared, not
 /// reallocated — host-only optimization).
 type ByTidMap = Rc<RefCell<BTreeMap<TaskId, Rc<PendEntry>>>>;
 
-/// Per-thread round scratch, reused across polls so a settled round
-/// allocates nothing: the assigned-client list is refilled in place and
+/// Per-shard round scratch, reused across polls so a settled round
+/// allocates nothing: the round's client list is refilled in place and
 /// the dispatch progress map is cleared, not rebuilt.
 struct RoundScratch {
     clients: Vec<Rc<Client>>,
@@ -52,10 +52,9 @@ struct RoundScratch {
     /// reused as-is — a settled poll over a stable client population
     /// costs O(1) list maintenance instead of an O(clients) rebuild.
     epoch: u64,
-    /// Registration watermark latched at round start: the fast path only
-    /// admits clients with `reg_seq < watermark` into this round's lists,
-    /// mirroring the legacy snapshot semantics (a client registered
-    /// mid-round was absent from the round-start snapshot).
+    /// Registration watermark latched at round start: only clients with
+    /// `reg_seq < watermark` enter this round's lists (a client
+    /// registered mid-round joins at the next round).
     reg_watermark: u64,
     by_tid: ByTidMap,
 }
@@ -84,19 +83,16 @@ pub struct ControlObs {
     pub activations: u64,
     /// Clients leaving a shard's active set (fully settled at round end).
     pub deactivations: u64,
-    /// Assignment-list rebuilds (epoch misses). Every legacy round paid
-    /// one; the fast path pays one per membership change.
+    /// Assignment-list rebuilds (epoch misses): one per membership
+    /// change, none on a settled poll.
     pub assign_rebuilds: u64,
     /// O(shard-clients) min-vruntime rescans (cache invalidations hit by
-    /// a read). The legacy path paid one per barrier and admission scan.
+    /// a read).
     pub minvr_recomputes: u64,
-    /// `autoscale` invocations (must stay 0 on sharded services).
+    /// Barrier auto-scaling decisions (0 unless `auto_scale` is on).
     pub autoscale_calls: u64,
-    /// `autoscale` invocations that paid the O(clients × sets) load sweep
-    /// (full-sweep mode only; the fast path reads the pending aggregate).
-    pub autoscale_sweeps: u64,
     /// Per-client trace-hash contributions re-folded (dirty clients at a
-    /// traced round close). The legacy path re-folded every client.
+    /// traced round close).
     pub hash_refolds: u64,
 }
 
@@ -107,7 +103,6 @@ struct ObsCells {
     assign_rebuilds: Cell<u64>,
     minvr_recomputes: Cell<u64>,
     autoscale_calls: Cell<u64>,
-    autoscale_sweeps: Cell<u64>,
     hash_refolds: Cell<u64>,
 }
 
@@ -240,7 +235,7 @@ struct ScrubRegion {
 #[derive(Default)]
 struct ShardState {
     /// Bytes currently admitted by this shard's clients — this shard's
-    /// slice of `global_bytes`.
+    /// slice of the window the global watermarks gate.
     bytes: Cell<u64>,
     /// Sum of every *other* shard's `bytes` as of the last barrier.
     peer_bytes: Cell<u64>,
@@ -262,13 +257,12 @@ struct ShardState {
     rounds_active: Cell<u64>,
     /// Deterministic active set (DESIGN.md §18): the shard's clients with
     /// unsettled state, keyed by `reg_seq` so iteration order equals the
-    /// legacy clients-vec (registration) order. Clients enter on the
+    /// clients-vec (registration) order. Clients enter on the
     /// submission doorbell (or scrub heal / adoption) and leave when
-    /// fully settled at round end. Maintained only on the fast path.
+    /// fully settled at round end.
     active: RefCell<BTreeMap<u64, Rc<Client>>>,
     /// Incrementally maintained Σ `remaining()` over this shard's window
-    /// entries — the pending-byte load `autoscale` used to sweep for.
-    /// Maintained at every shard count and in both sweep modes.
+    /// entries — the pending-byte load barrier auto-scaling reads.
     pending: Cell<u64>,
     /// Cached wrap-safe minimum live vruntime over this shard's clients,
     /// with the count of clients sitting at that minimum. `min_valid`
@@ -279,8 +273,7 @@ struct ShardState {
     min_valid: Cell<bool>,
     /// Commutative per-shard trace-hash accumulators: wrapping sums of
     /// every shard client's cached `(hp, hx)` contribution. Maintained
-    /// only while delta-folded hashing is on (tracer + `shards > 1` +
-    /// fast path).
+    /// only while a tracer is set.
     hp_sum: Cell<u64>,
     hx_sum: Cell<u64>,
     /// Clients whose hash contribution went stale since the last fold.
@@ -299,6 +292,9 @@ pub struct Copier {
     pub sched: Scheduler,
     clients: RefCell<Vec<Rc<Client>>>,
     cores: Vec<Rc<Core>>,
+    /// Service threads serving shards this generation (k in DESIGN.md
+    /// §17): thread `t < k` serves the home shards `{h : h mod k = t}`.
+    /// Only the last barrier arriver changes it (auto-scaling).
     active_threads: Cell<usize>,
     scenario_active: Cell<bool>,
     wake: Rc<Notify>,
@@ -307,34 +303,23 @@ pub struct Copier {
     next_client: Cell<ClientId>,
     stats: RefCell<CopierStats>,
     stopping: Cell<bool>,
-    /// Bytes currently admitted into service windows (all clients).
-    global_bytes: Cell<u64>,
-    /// Latched global-watermark shedding state (hysteresis).
-    shedding: Cell<bool>,
-    /// Per-shard control planes; `len() == cfg.shards.max(1)`. At one
-    /// shard the slot exists but every legacy code path stays in force —
-    /// the per-shard counters are maintained unconditionally (host-side
-    /// `Cell` writes, no virtual time), the sharded decision paths are
-    /// not taken.
+    /// Per-shard control planes; `len() == cfg.shards.max(1)`.
     shards: Vec<ShardState>,
     /// Round-barrier generation (bumped by the last arriver).
     barrier_gen: Cell<u64>,
-    /// Shards arrived at the current barrier generation.
+    /// Active threads arrived at the current barrier generation.
     barrier_arrived: Cell<usize>,
     /// OR-accumulator of `did_work` across the current generation's
     /// arrivals; folded into `barrier_any` at release.
     barrier_acc: Cell<bool>,
     /// Whether any shard did work in the last completed generation — the
-    /// barrier-agreed idleness fact: shards park only when this is
+    /// barrier-agreed idleness fact: threads park only when this is
     /// false, so they spin down (and wake) together.
     barrier_any: Cell<bool>,
-    /// Wakes shards parked at the round barrier. Distinct from `wake`:
-    /// submission wakeups must not release a barrier early.
+    /// Wakes threads parked at the round barrier or beyond the active
+    /// thread count. Distinct from `wake`: submission wakeups must not
+    /// release a barrier early.
     barrier_wake: Rc<Notify>,
-    /// Monotone round counter feeding the record/replay trace (round
-    /// identity in the event log; counts every poll round, active or
-    /// idle — idle rounds emit nothing thanks to lazy headers).
-    round_no: Cell<u64>,
     /// Set when an injected crash killed this incarnation: threads exit
     /// immediately and the control plane survives only in the journal
     /// store and client-owned memory.
@@ -348,16 +333,14 @@ pub struct Copier {
     recovered: RefCell<Option<Recovered>>,
     /// Regions under background scrub (§integrity).
     scrub: RefCell<Vec<ScrubRegion>>,
-    /// Scrub cadence counter. Deliberately not `round_no`: that one only
-    /// advances when tracing is on, and the walker must pace identically
-    /// either way.
+    /// Scrub cadence counter (shard 0's rounds).
     scrub_tick: Cell<u64>,
     /// Walk resume position (chunk index across all regions).
     scrub_pos: Cell<usize>,
-    /// Assignment epoch (DESIGN.md §18): bumped whenever the per-thread
-    /// assignment lists could change — register/reap/adopt, an
-    /// `active_threads` change, and active-set membership changes. Round
-    /// scratches compare against it to reuse their client lists.
+    /// Assignment epoch (DESIGN.md §18): bumped whenever a shard's round
+    /// list could change — register/reap/adopt and active-set membership
+    /// changes. Round scratches compare against it to reuse their client
+    /// lists.
     assign_epoch: Cell<u64>,
     /// Monotone registration sequence feeding [`Client::reg_seq`].
     next_reg: Cell<u64>,
@@ -391,27 +374,11 @@ impl Copier {
         let atcache = Rc::new(ATCache::new(cfg.atcache_capacity.max(1)));
         atcache.set_enabled(cfg.atcache_capacity > 0);
         let nshards = cfg.shards.max(1);
-        if nshards > 1 {
-            assert!(
-                cores.len() >= nshards,
-                "sharded service needs one dedicated core per shard"
-            );
-            assert!(
-                !cfg.auto_scale,
-                "shards and auto_scale are mutually exclusive"
-            );
-            assert!(
-                matches!(cfg.polling, PollMode::Napi { .. }),
-                "sharded service requires NAPI polling"
-            );
-        }
-        let threads = if cfg.auto_scale {
-            1
-        } else if nshards > 1 {
-            nshards
-        } else {
-            cores.len()
-        };
+        assert!(
+            cores.len() >= nshards,
+            "the service needs one dedicated core per shard"
+        );
+        let threads = if cfg.auto_scale { 1 } else { nshards };
         // Journal attach: replay whatever a previous incarnation left in
         // the store (truncating a torn tail) and open a new epoch. The
         // tid high-water mark carries forward so task ids never collide
@@ -453,15 +420,12 @@ impl Copier {
             next_client: Cell::new(1),
             stats: RefCell::new(stats),
             stopping: Cell::new(false),
-            global_bytes: Cell::new(0),
-            shedding: Cell::new(false),
             shards: (0..nshards).map(|_| ShardState::default()).collect(),
             barrier_gen: Cell::new(0),
             barrier_arrived: Cell::new(0),
             barrier_acc: Cell::new(false),
             barrier_any: Cell::new(false),
             barrier_wake: Rc::new(Notify::new()),
-            round_no: Cell::new(0),
             crashed: Cell::new(false),
             epoch: Cell::new(epoch),
             journal,
@@ -512,11 +476,10 @@ impl Copier {
     /// Bytes currently admitted into service windows across all clients
     /// (the quantity the global watermarks gate).
     pub fn admitted_bytes(&self) -> u64 {
-        self.global_bytes.get()
+        self.shards.iter().map(|s| s.bytes.get()).sum()
     }
 
-    /// Number of control-plane shards (1 = the classic single-instance
-    /// service).
+    /// Number of control-plane shards.
     pub fn nshards(&self) -> usize {
         self.shards.len()
     }
@@ -549,18 +512,18 @@ impl Copier {
             assign_rebuilds: self.obs.assign_rebuilds.get(),
             minvr_recomputes: self.obs.minvr_recomputes.get(),
             autoscale_calls: self.obs.autoscale_calls.get(),
-            autoscale_sweeps: self.obs.autoscale_sweeps.get(),
             hash_refolds: self.obs.hash_refolds.get(),
         }
     }
 
     /// Cross-checks every incrementally maintained aggregate against a
-    /// from-scratch recomputation: the per-shard pending-byte total, the
-    /// cached min-vruntime (when valid), active-set completeness (on the
-    /// fast path every live inactive client must be settled), and —
-    /// under delta-folded hashing — the commutative hash sums after a
-    /// refold. Test instrumentation for the soak differential suite;
-    /// returns the first discrepancy as an error string. Host-side only:
+    /// from-scratch sweep of the client table — the reference reader the
+    /// O(active) rounds are tested against: the per-shard pending-byte
+    /// total, the cached min-vruntime (when valid), active-set
+    /// completeness (every live inactive client must be settled), and —
+    /// when a tracer is set — the delta-folded hash sums. Read-only, so it
+    /// may run at any instant of a live run without perturbing it.
+    /// Returns the first discrepancy as an error string. Host-side only:
     /// charges no virtual time.
     pub fn audit_aggregates(&self) -> Result<(), String> {
         let clients = self.clients.borrow();
@@ -609,27 +572,33 @@ impl Copier {
                     }
                 }
             }
-            if self.fast_path() {
+            for c in clients.iter().filter(|c| c.shard.get() == idx) {
+                if !c.dead.get() && !c.active.get() && !self.settled(c) {
+                    return Err(format!(
+                        "shard {idx}: inactive client {} holds unsettled work",
+                        c.id
+                    ));
+                }
+            }
+            if self.cfg.tracer.is_some() {
+                // The sums must equal the cached contributions, and a
+                // client without a dirty mark must cache its current fold
+                // (a mutation that missed `mark_hash_dirty` shows here).
+                let (mut hp, mut hx) = (0u64, 0u64);
                 for c in clients.iter().filter(|c| c.shard.get() == idx) {
-                    if !c.dead.get() && !c.active.get() && !self.settled(c) {
+                    let (p, x) = c.hash_cache.get();
+                    hp = hp.wrapping_add(p);
+                    hx = hx.wrapping_add(x);
+                    if !c.hash_dirty.get() && (p, x) != fold_client_commutative(c) {
                         return Err(format!(
-                            "shard {idx}: inactive client {} holds unsettled work",
+                            "shard {idx}: client {} hash cache is stale but not dirty",
                             c.id
                         ));
                     }
                 }
-            }
-            if self.hash_cached() {
-                self.refold_dirty(idx);
-                let (mut hp, mut hx) = (0u64, 0u64);
-                for c in clients.iter().filter(|c| c.shard.get() == idx) {
-                    let (p, x) = fold_client_commutative(c);
-                    hp = hp.wrapping_add(p);
-                    hx = hx.wrapping_add(x);
-                }
                 if (hp, hx) != (sh.hp_sum.get(), sh.hx_sum.get()) {
                     return Err(format!(
-                        "shard {idx}: hash sums ({:#x}, {:#x}) != recompute ({hp:#x}, {hx:#x})",
+                        "shard {idx}: hash sums ({:#x}, {:#x}) != cached contributions ({hp:#x}, {hx:#x})",
                         sh.hp_sum.get(),
                         sh.hx_sum.get()
                     ));
@@ -637,25 +606,6 @@ impl Copier {
             }
         }
         Ok(())
-    }
-
-    /// Whether rounds iterate per-shard active sets instead of the whole
-    /// client table. True for every sharded service and for the
-    /// single-service-core unsharded one; the unsharded *multi*-thread
-    /// service keeps full iteration (its positional `i % threads`
-    /// assignment has no per-shard home for an active set) — epoch-cached
-    /// assignment still applies there. `full_sweep` forces the legacy
-    /// reference behaviour everywhere.
-    fn fast_path(&self) -> bool {
-        !self.cfg.full_sweep && (self.nshards() > 1 || self.cores.len() == 1)
-    }
-
-    /// Whether per-shard trace hashes are maintained as delta-folded
-    /// per-client contributions (multi-shard traced fast path). The
-    /// single-shard hash chain keeps the legacy sequential fold — it is
-    /// pinned by the committed `.cptr` repro corpus.
-    fn hash_cached(&self) -> bool {
-        self.cfg.tracer.is_some() && self.nshards() > 1 && !self.cfg.full_sweep
     }
 
     /// Submission doorbell (DESIGN.md §18): marks `client` active on its
@@ -667,14 +617,14 @@ impl Copier {
         self.awaken();
     }
 
-    /// Inserts `client` into its shard's active set (fast path) and
-    /// marks its trace-hash contribution dirty (delta-folded hashing).
-    /// Idempotent and O(log active).
+    /// Inserts `client` into its shard's active set and, when tracing,
+    /// marks its trace-hash contribution dirty. Idempotent and
+    /// O(log active).
     fn activate(&self, client: &Rc<Client>) {
-        if self.hash_cached() {
+        if self.cfg.tracer.is_some() {
             self.mark_hash_dirty(client);
         }
-        if !self.fast_path() || client.active.get() || client.dead.get() {
+        if client.active.get() || client.dead.get() {
             return;
         }
         client.active.set(true);
@@ -701,11 +651,10 @@ impl Copier {
     }
 
     /// Whether `client` holds no unsettled control-plane state: all four
-    /// rings empty and no unfinished window entry. An inactive client in
-    /// this state is invisible to drain, sync, and scheduling in the
-    /// full-sweep reference too (empty rings drain nothing, `has_work` is
-    /// false, finished-but-unfinalized leftovers are never selected), so
-    /// skipping it is outcome- and virtual-time-identical.
+    /// rings empty and no unfinished window entry. A round over every
+    /// client would find nothing to do for it either (empty rings drain
+    /// nothing, `has_work` is false, finished leftovers are never
+    /// selected), so leaving it out of the active set changes nothing.
     fn settled(&self, client: &Client) -> bool {
         let mut si = 0;
         while let Some(set) = client.set_at(si) {
@@ -824,18 +773,9 @@ impl Copier {
     /// Wrap-safe minimum live vruntime among shard `idx`'s clients —
     /// what the shard publishes at the round barrier and what the
     /// least-served admission exemption compares against. Served from
-    /// the incremental cache unless `full_sweep` forces the reference
-    /// O(shard-clients) scan; a stale cache recomputes once and stays
+    /// the incremental cache; a stale cache recomputes once and stays
     /// warm until the next invalidating event.
     fn shard_min_vr(&self, idx: usize) -> Option<u64> {
-        if self.cfg.full_sweep {
-            return min_live_vruntime(
-                self.clients
-                    .borrow()
-                    .iter()
-                    .filter(|c| c.shard.get() == idx),
-            );
-        }
         let sh = &self.shards[idx];
         if !sh.min_valid.get() {
             self.obs
@@ -861,7 +801,7 @@ impl Copier {
     }
 
     /// Adds admitted bytes to the owning shard's slice of the global
-    /// window (host-side `Cell`; maintained at every shard count).
+    /// window.
     fn shard_bytes_add(&self, client: &Client, len: u64) {
         let sh = &self.shards[client.shard.get()];
         sh.bytes.set(sh.bytes.get() + len);
@@ -873,77 +813,41 @@ impl Copier {
         sh.bytes.set(sh.bytes.get().saturating_sub(len));
     }
 
-    /// Emits a trace event attributed to `shard`: the legacy anonymous
-    /// emit at one shard (wire-identical to every committed trace), the
-    /// per-shard lazy-header path otherwise.
+    /// Emits a trace event attributed to `shard`.
     fn temit(&self, shard: usize, ev: TraceEvent) {
         if let Some(t) = &self.cfg.tracer {
-            if self.nshards() > 1 {
-                t.emit_on(shard as u32, ev);
-            } else {
-                t.emit(ev);
-            }
+            t.emit_on(shard as u32, ev);
         }
     }
 
     /// The `(pending, index, stats)` state hashes closing an active
-    /// traced round (DESIGN.md §14). Every component is iterated in a
-    /// deterministic order (registration order for clients and sets,
-    /// window-key order for entries, BTreeMap order inside the index),
-    /// so equal states hash equal regardless of how they were reached.
-    fn trace_hashes(&self) -> (u64, u64, u64) {
-        let mut hp = FNV_OFFSET;
-        let mut hx = FNV_OFFSET;
-        for c in self.clients.borrow().iter() {
-            fold_client_state(c, &mut hp, &mut hx);
-        }
-        (hp, hx, self.stats_digest())
-    }
-
-    /// [`Self::trace_hashes`] restricted to shard `idx`: its clients'
-    /// window/index state plus the shard's private stats deltas. Closing
-    /// every shard round with these is what lets replay divergence
-    /// localize to a `(shard, round)` pair instead of "somewhere this
-    /// generation".
+    /// traced round of shard `idx` (DESIGN.md §14): its clients'
+    /// window/index state, plus the shard's private stats deltas and the
+    /// service-wide stats vector, so replay divergence localizes to a
+    /// `(shard, round)` pair — including divergences that only move a
+    /// counter (a retried DMA descriptor, say).
     ///
-    /// Multi-shard hashes are *commutative*: each client folds its own
-    /// state from a fresh FNV offset and the shard hash is the wrapping
-    /// sum of the per-client contributions. That shape admits the §18
-    /// delta fold — only clients touched since the last traced round
-    /// re-fold; the sums absorb the difference — while staying
-    /// order-independent, so the cached and full-recompute forms agree
-    /// bit for bit (checked by the soak differential suite). The
-    /// single-shard chain keeps the legacy sequential fold in
-    /// [`Self::trace_hashes`]: its values are pinned by the committed
-    /// `.cptr` repro corpus.
+    /// The hashes are *commutative*: each client folds its own state from
+    /// a fresh FNV offset and the shard hash is the wrapping sum of the
+    /// per-client contributions. That shape admits the §18 delta fold —
+    /// only clients touched since the last traced round re-fold; the sums
+    /// absorb the difference — while staying order-independent, so the
+    /// cached sums equal a full recompute bit for bit (checked by
+    /// [`Self::audit_aggregates`]).
     fn shard_trace_hashes(&self, idx: usize) -> (u64, u64, u64) {
-        let (hp, hx) = if self.hash_cached() {
-            self.refold_dirty(idx);
-            let sh = &self.shards[idx];
-            (sh.hp_sum.get(), sh.hx_sum.get())
-        } else {
-            let mut hp = 0u64;
-            let mut hx = 0u64;
-            for c in self
-                .clients
-                .borrow()
-                .iter()
-                .filter(|c| c.shard.get() == idx)
-            {
-                let (p, x) = fold_client_commutative(c);
-                hp = hp.wrapping_add(p);
-                hx = hx.wrapping_add(x);
-            }
-            (hp, hx)
-        };
+        self.refold_dirty(idx);
         let sh = &self.shards[idx];
+        let (hp, hx) = (sh.hp_sum.get(), sh.hx_sum.get());
         let mut hs = FNV_OFFSET;
         for v in [
             sh.bytes.get(),
             sh.bytes_copied.get(),
             sh.tasks_completed.get(),
             sh.rounds_active.get(),
-        ] {
+        ]
+        .into_iter()
+        .chain(self.stats_vec())
+        {
             hs = fnv_fold(hs, v);
         }
         (hp, hx, hs)
@@ -972,21 +876,11 @@ impl Copier {
         }
     }
 
-    /// Canonical flattening of [`CopierStats`] — the single shape both
-    /// the trace state hash and the journal checkpoint use. See
-    /// [`stats_to_vec`] and [`stats_layout`] for the (append-only)
-    /// index assignment.
+    /// Canonical flattening of [`CopierStats`] — the shape both the trace
+    /// state hash and the journal checkpoint use. See [`stats_to_vec`]
+    /// and [`stats_layout`] for the (append-only) index assignment.
     fn stats_vec(&self) -> Vec<u64> {
         stats_to_vec(&self.stats())
-    }
-
-    /// FNV-1a fold of [`Copier::stats_vec`].
-    fn stats_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for v in self.stats_vec() {
-            h = fnv_fold(h, v);
-        }
-        h
     }
 
     /// Resets the statistics.
@@ -1009,7 +903,7 @@ impl Copier {
         c.reg_seq.set(self.alloc_reg_seq());
         self.clients.borrow_mut().push(Rc::clone(&c));
         self.minvr_register(&c);
-        if self.hash_cached() {
+        if self.cfg.tracer.is_some() {
             // A fresh client contributes a non-trivial fold (its empty
             // index digests into hx), so the delta-folded sums must pick
             // it up even if it never becomes active.
@@ -1112,34 +1006,46 @@ impl Copier {
         self.active_threads.get()
     }
 
-    /// Starts one service task per core (per shard when sharded: cores
-    /// beyond the shard count stay free for tenants).
+    /// Starts one service thread per shard; cores beyond the shard count
+    /// stay free for tenants.
     pub fn start(self: &Rc<Self>) {
-        let n = if self.nshards() > 1 {
-            self.nshards()
-        } else {
-            self.cores.len()
-        };
-        for i in 0..n {
+        for t in 0..self.nshards() {
             let me = Rc::clone(self);
             self.h.spawn(
-                &format!("copier-{i}"),
-                async move { me.thread_loop(i).await },
+                &format!("copier-{t}"),
+                async move { me.shard_loop(t).await },
             );
         }
     }
 
-    async fn thread_loop(self: Rc<Self>, idx: usize) {
-        if self.nshards() > 1 {
-            return self.shard_loop(idx).await;
-        }
-        let core = Rc::clone(&self.cores[idx]);
+    /// Service thread `t` (DESIGN.md §17) — the one round loop, at every
+    /// shard count. Each generation the thread runs one round for each of
+    /// its home shards `{h : h mod k = t}` (`k` = [`Self::active_threads`])
+    /// and then meets the other active threads at the deterministic round
+    /// barrier, where byte counts, fairness minima and the next `k` are
+    /// decided. Rounds are thus lockstep generations: decisions in
+    /// generation g read only state published at the end of generation
+    /// g-1 — never a peer's mid-round state — which keeps runs
+    /// bit-reproducible from a seed. At one shard the barrier releases
+    /// at once and publishes nothing.
+    async fn shard_loop(self: Rc<Self>, t: usize) {
+        let core = Rc::clone(&self.cores[t]);
+        let (spin_rounds, park_timeout) = match self.cfg.polling {
+            PollMode::Napi {
+                spin_rounds,
+                park_timeout,
+            } => (spin_rounds, park_timeout),
+            // Even inside an active scenario the thread sleeps when queues
+            // run empty (§6.2.4) — submissions call copier_awaken.
+            PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
+        };
         let mut idle_streak = 0u32;
-        // Per-thread round scratch: the dispatch progress map is cleared
-        // and refilled each round instead of reallocated. Each thread owns
-        // its own, and a round's DMA callbacks all settle before
-        // `execute_batch` returns, so clearing at the next round is safe.
-        let mut scratch = RoundScratch::new();
+        // Per-shard round scratch: client lists are epoch-cached and the
+        // dispatch progress map is cleared, not reallocated. A round's DMA
+        // callbacks all settle before `execute_batch` returns, so reuse at
+        // the next round is safe.
+        let mut scratch: Vec<RoundScratch> =
+            (0..self.nshards()).map(|_| RoundScratch::new()).collect();
         loop {
             if self.stopping.get() {
                 // Closing memory checkpoint: the trace ends with a full
@@ -1147,29 +1053,28 @@ impl Copier {
                 // the run stopped between periodic checkpoints. A crashed
                 // incarnation writes nothing more — like a real crash,
                 // its trace just ends mid-stream.
-                if idx == 0 && !self.crashed.get() {
-                    if let Some(t) = &self.cfg.tracer {
-                        t.record_mem(self.pm.digest());
+                if t == 0 && !self.crashed.get() {
+                    if let Some(tr) = &self.cfg.tracer {
+                        tr.record_mem(self.pm.digest());
                     }
                 }
+                // Release peers still parked at the barrier: a thread
+                // exiting without arriving must not strand them.
+                self.barrier_wake.notify_all();
                 return;
             }
-            // Auto-scaling park: threads beyond the active count sleep. A
-            // notified wake must charge the kthread wakeup latency like the
-            // NAPI park below — `wake` can hold stored permits (doorbells
-            // that landed while every thread was busy), and a zero-cost
-            // retry loop here would spin without advancing virtual time,
-            // freezing the clock for every timer-bound task in the sim.
-            if idx >= self.active_threads.get() {
-                self.parked.set(self.parked.get() + 1);
-                let notified = self.wake.wait_timeout(&self.h, Nanos::from_millis(1)).await;
-                self.parked.set(self.parked.get() - 1);
-                if notified {
+            // Auto-scaling park: a thread beyond the barrier-agreed count
+            // sleeps until a barrier raises the count past it.
+            if t >= self.active_threads.get() {
+                while t >= self.active_threads.get() && !self.stopping.get() {
+                    self.barrier_wake.notified().await;
+                }
+                if !self.stopping.get() {
                     core.advance(self.cfg.wake_latency).await;
                 }
                 continue;
             }
-            // Scenario gate.
+            // Scenario gate (§5.3): outside the scenario the thread sleeps.
             if self.cfg.polling == PollMode::ScenarioDriven && !self.scenario_active.get() {
                 self.parked.set(self.parked.get() + 1);
                 self.wake.notified().await;
@@ -1177,93 +1082,21 @@ impl Copier {
                 core.advance(self.cfg.wake_latency).await;
                 continue;
             }
-            let did = self.round(idx, &core, &mut scratch).await;
-            if idx == 0 && self.cfg.auto_scale {
-                self.autoscale();
-            }
-            if did {
-                idle_streak = 0;
-                self.stats.borrow_mut().busy_rounds += 1;
-                continue;
-            }
-            self.stats.borrow_mut().idle_polls += 1;
-            core.advance(self.cost.poll_idle).await;
-            idle_streak += 1;
-            match self.cfg.polling {
-                PollMode::Napi {
-                    spin_rounds,
-                    park_timeout,
-                } => {
-                    if idle_streak > spin_rounds {
-                        self.parked.set(self.parked.get() + 1);
-                        let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
-                        self.parked.set(self.parked.get() - 1);
-                        if notified {
-                            // Kthread wakeup latency before the next sweep.
-                            core.advance(self.cfg.wake_latency).await;
-                        }
-                        idle_streak = 0;
-                    }
+            let mut did = false;
+            for h in (t..self.nshards()).step_by(self.active_threads.get()) {
+                if self.stopping.get() {
+                    break;
                 }
-                PollMode::ScenarioDriven => {
-                    // Even inside an active scenario the thread sleeps when
-                    // queues run empty (§6.2.4: "sleeps when queues are
-                    // empty") — submissions call copier_awaken.
-                    if idle_streak > 4 {
-                        self.parked.set(self.parked.get() + 1);
-                        let notified = self.wake.wait_timeout(&self.h, Nanos::from_millis(5)).await;
-                        self.parked.set(self.parked.get() - 1);
-                        if notified {
-                            core.advance(self.cfg.wake_latency).await;
-                        }
-                        idle_streak = 0;
-                    }
+                if self.round(h, &core, &mut scratch[h]).await {
+                    did = true;
+                    self.stats.borrow_mut().busy_rounds += 1;
                 }
             }
-        }
-    }
-
-    /// Sharded service thread (DESIGN.md §17): shard `idx` owns the
-    /// clients hashed to it and runs the classic round loop over them,
-    /// then meets every other shard at a deterministic round barrier
-    /// where byte counts and fairness minima are exchanged. Rounds are
-    /// thus lockstep generations: admission and least-served decisions
-    /// in generation g read only peer state published at the end of
-    /// generation g-1 — never a peer's mid-round state — which is what
-    /// keeps N-shard runs bit-reproducible from a seed.
-    async fn shard_loop(self: Rc<Self>, idx: usize) {
-        let core = Rc::clone(&self.cores[idx]);
-        let mut idle_streak = 0u32;
-        let mut scratch = RoundScratch::new();
-        let PollMode::Napi {
-            spin_rounds,
-            park_timeout,
-        } = self.cfg.polling
-        else {
-            unreachable!("sharded service requires NAPI polling (enforced at construction)");
-        };
-        loop {
-            if self.stopping.get() {
-                if idx == 0 && !self.crashed.get() {
-                    if let Some(t) = &self.cfg.tracer {
-                        t.record_mem(self.pm.digest());
-                    }
-                }
-                // Release peers still parked at the barrier: a shard
-                // exiting without arriving must not strand them.
-                self.barrier_wake.notify_all();
-                return;
-            }
-            let did = self.round(idx, &core, &mut scratch).await;
-            if did {
-                self.stats.borrow_mut().busy_rounds += 1;
-            }
-            let any = self.barrier_round(did).await;
-            if any {
-                // Some shard did work this generation: everyone keeps
-                // polling hot, even shards that were themselves idle —
-                // idleness is a barrier-agreed global fact, never a local
-                // guess, so the shards spin down (and park) in lockstep.
+            if self.barrier_round(did).await {
+                // Some shard did work this generation: every thread keeps
+                // polling hot — idleness is a barrier-agreed global fact,
+                // never a local guess, so threads spin down (and park) in
+                // lockstep.
                 idle_streak = 0;
                 continue;
             }
@@ -1275,6 +1108,7 @@ impl Copier {
                 let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
                 self.parked.set(self.parked.get() - 1);
                 if notified {
+                    // Kthread wakeup latency before the next sweep.
                     core.advance(self.cfg.wake_latency).await;
                 }
                 idle_streak = 0;
@@ -1282,14 +1116,15 @@ impl Copier {
         }
     }
 
-    /// The deterministic round barrier. Every shard arrives once per
-    /// generation; the last arriver runs the cross-shard message round
-    /// ([`Self::exchange`]), folds the generation's `did_work` OR into
+    /// The deterministic round barrier. Every active thread arrives once
+    /// per generation; the last arriver runs the cross-shard message
+    /// round ([`Self::exchange`]) and the auto-scaling decision
+    /// ([`Self::autoscale`]), folds the generation's `did_work` OR into
     /// [`Copier::barrier_any`], bumps the generation, and releases the
-    /// waiters. Returns whether *any* shard did work this generation.
+    /// waiters. Returns whether *any* thread did work this generation.
     ///
     /// Shutdown safety: `stop()` and `maybe_crash()` notify
-    /// `barrier_wake`, and the wait re-checks `stopping`, so no shard is
+    /// `barrier_wake`, and the wait re-checks `stopping`, so no thread is
     /// ever stranded behind a peer that exited without arriving.
     async fn barrier_round(&self, did: bool) -> bool {
         let generation = self.barrier_gen.get();
@@ -1297,9 +1132,12 @@ impl Copier {
             self.barrier_acc.set(true);
         }
         let arrived = self.barrier_arrived.get() + 1;
-        if arrived == self.nshards() {
+        if arrived == self.active_threads.get() {
             self.barrier_arrived.set(0);
             self.exchange();
+            if self.cfg.auto_scale {
+                self.autoscale();
+            }
             self.barrier_any.set(self.barrier_acc.get());
             self.barrier_acc.set(false);
             self.barrier_gen.set(generation + 1);
@@ -1322,82 +1160,55 @@ impl Copier {
     /// snapshot — and rewrites every shard's `peer_*` mirrors from it.
     /// Generation g+1 therefore sees one consistent cross-shard view no
     /// matter how the shards' rounds interleaved inside generation g.
+    /// Allocation-free; a single shard has no peers and publishes nothing.
     fn exchange(&self) {
-        let bytes: Vec<u64> = self.shards.iter().map(|s| s.bytes.get()).collect();
-        let minvr: Vec<Option<u64>> = (0..self.nshards()).map(|i| self.shard_min_vr(i)).collect();
+        let n = self.nshards();
+        if n == 1 {
+            return;
+        }
+        let total: u64 = self.shards.iter().map(|s| s.bytes.get()).sum();
         for (i, sh) in self.shards.iter().enumerate() {
-            let peer: u64 = bytes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, b)| *b)
-                .sum();
-            sh.peer_bytes.set(peer);
+            sh.peer_bytes.set(total - sh.bytes.get());
+            // Peer minima fold in shard-id order; `shard_min_vr` is O(1)
+            // once each shard's cache is warm.
             let mut pm: Option<u64> = None;
-            for v in minvr
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .filter_map(|(_, v)| *v)
+            for v in (0..n)
+                .filter(|&j| j != i)
+                .filter_map(|j| self.shard_min_vr(j))
             {
                 pm = Some(match pm {
-                    None => v,
-                    Some(m) if vruntime_before(v, m) => v,
-                    Some(m) => m,
+                    Some(m) if !vruntime_before(v, m) => m,
+                    _ => v,
                 });
             }
             sh.peer_min_vr.set(pm);
         }
     }
 
-    /// Thread auto-scaling by pending-byte load. Unsharded-only by
-    /// construction (`shards > 1` forbids `auto_scale`, and only the
-    /// unsharded `thread_loop` calls this) — sharded rounds must never
-    /// pay for it, which `tests/soak_differential.rs` checks through
-    /// [`ControlObs::autoscale_calls`]. The load read is the incremental
-    /// pending aggregate unless `full_sweep` forces the legacy
-    /// O(clients × sets) sweep.
+    /// Thread auto-scaling (§4.5.1) as a barrier decision: from the
+    /// pending-byte load Σ `ShardState::pending`, one more thread wakes
+    /// above `high_load` and one parks below `low_load`, within
+    /// `1..=shards`. The new count takes effect at the next generation;
+    /// the shards a parked thread served fall to its peers.
     fn autoscale(&self) {
-        debug_assert_eq!(self.nshards(), 1, "autoscale is unsharded-only");
         self.obs
             .autoscale_calls
             .set(self.obs.autoscale_calls.get() + 1);
-        let load = if self.cfg.full_sweep {
-            self.obs
-                .autoscale_sweeps
-                .set(self.obs.autoscale_sweeps.get() + 1);
-            let mut load = 0usize;
-            for c in self.clients.borrow().iter() {
-                for s in c.sets.borrow().iter() {
-                    load += s.pending_bytes();
-                }
-            }
-            load
-        } else {
-            self.shards[0].pending.get() as usize
-        };
+        let load: u64 = self.shards.iter().map(|s| s.pending.get()).sum();
         let active = self.active_threads.get();
-        if load > self.cfg.high_load && active < self.cores.len() {
+        if load > self.cfg.high_load as u64 && active < self.nshards() {
             self.active_threads.set(active + 1);
-            self.bump_assign_epoch();
-            self.wake.notify_all();
-        } else if load < self.cfg.low_load && active > 1 {
+        } else if load < self.cfg.low_load as u64 && active > 1 {
             self.active_threads.set(active - 1);
-            self.bump_assign_epoch();
         }
     }
 
-    /// Refreshes the thread's client assignment in `scratch` (epoch-
-    /// cached: a stable membership reuses the buffer untouched, so a
-    /// settled poll pays O(1) instead of an O(clients) rebuild).
-    ///
-    /// Fast path: the shard's active set, in `reg_seq` (= registration)
-    /// order, filtered by the round's registration watermark — exactly
-    /// the clients the legacy full snapshot would have found with any
-    /// unsettled state, in the same order (see [`Self::settled`] for the
-    /// equivalence argument). Legacy path: all clients (sharded: by
-    /// space-hash ownership; unsharded: positional round-robin over the
-    /// active threads).
+    /// Refreshes shard `idx`'s round list in `scratch` (epoch-cached: a
+    /// stable membership reuses the buffer untouched, so a settled poll
+    /// pays O(1) instead of an O(clients) rebuild): the shard's active
+    /// set, in `reg_seq` (= registration) order, filtered by the round's
+    /// registration watermark — every client with unsettled state (see
+    /// [`Self::settled`]), in a stable order.
     fn assigned_into(&self, idx: usize, scratch: &mut RoundScratch) {
         let ep = self.assign_epoch.get();
         if scratch.epoch == ep {
@@ -1407,32 +1218,10 @@ impl Copier {
         self.obs
             .assign_rebuilds
             .set(self.obs.assign_rebuilds.get() + 1);
-        let out = &mut scratch.clients;
-        out.clear();
-        if self.fast_path() {
-            for (&seq, c) in self.shards[idx].active.borrow().iter() {
-                if seq < scratch.reg_watermark {
-                    out.push(Rc::clone(c));
-                }
-            }
-            return;
-        }
-        if self.nshards() > 1 {
-            // Sharded ownership is by space hash, not round-robin index:
-            // a client's whole QueueSet state lives on exactly one shard
-            // for the client's lifetime, so no cross-shard locking or
-            // entry migration ever happens.
-            for c in self.clients.borrow().iter() {
-                if c.shard.get() == idx {
-                    out.push(Rc::clone(c));
-                }
-            }
-            return;
-        }
-        let n = self.active_threads.get().max(1);
-        for (i, c) in self.clients.borrow().iter().enumerate() {
-            if i % n == idx {
-                out.push(Rc::clone(c));
+        scratch.clients.clear();
+        for (&seq, c) in self.shards[idx].active.borrow().iter() {
+            if seq < scratch.reg_watermark {
+                scratch.clients.push(Rc::clone(c));
             }
         }
     }
@@ -1451,16 +1240,15 @@ impl Copier {
         n
     }
 
-    /// One service round. Returns whether any work was done.
+    /// One service round of shard `idx`. Returns whether any work was
+    /// done.
     ///
-    /// With a tracer configured this wraps the round in `begin_round` /
-    /// `end_round` so every event the round emits carries its round
-    /// identity, closes active rounds with the `(pending, index, stats)`
-    /// state hashes, and appends periodic physical-memory digests. The
-    /// tracer is host-side bookkeeping only — no virtual time is charged,
-    /// so traced and untraced runs have identical timelines. Round
-    /// attribution is per-service (one counter), which is exact for the
-    /// single-core service configs the record/replay fixtures use.
+    /// With a tracer configured this opens a lazy `(shard, round)` header
+    /// so every event the round emits carries its round identity, closes
+    /// active rounds with the shard's `(pending, index, stats)` state
+    /// hashes, and appends periodic physical-memory digests. The tracer
+    /// is host-side bookkeeping only — no virtual time is charged, so
+    /// traced and untraced runs have identical timelines.
     async fn round(
         self: &Rc<Self>,
         idx: usize,
@@ -1470,27 +1258,12 @@ impl Copier {
         let Some(tracer) = self.cfg.tracer.clone() else {
             return self.round_inner(idx, core, scratch).await;
         };
-        if self.nshards() > 1 {
-            // Sharded round identity is the (shard, per-shard round)
-            // pair; each shard closes its own active rounds with its own
-            // state hashes, so replay divergence names the shard too.
-            let sh = &self.shards[idx];
-            let round_no = sh.round_no.get() + 1;
-            sh.round_no.set(round_no);
-            tracer.begin_shard_round(idx as u32, round_no, self.h.now().as_nanos());
-            let did = self.round_inner(idx, core, scratch).await;
-            let mem_due = tracer.end_shard_round(idx as u32, || self.shard_trace_hashes(idx));
-            if mem_due {
-                tracer.record_mem(self.pm.digest());
-            }
-            return did;
-        }
-        let round_no = self.round_no.get() + 1;
-        self.round_no.set(round_no);
-        tracer.begin_round(round_no, self.h.now().as_nanos());
+        let sh = &self.shards[idx];
+        let round_no = sh.round_no.get() + 1;
+        sh.round_no.set(round_no);
+        tracer.begin_shard_round(idx as u32, round_no, self.h.now().as_nanos());
         let did = self.round_inner(idx, core, scratch).await;
-        let mem_due = tracer.end_round(|| self.trace_hashes());
-        if mem_due {
+        if tracer.end_shard_round(idx as u32, || self.shard_trace_hashes(idx)) {
             tracer.record_mem(self.pm.digest());
         }
         did
@@ -1507,9 +1280,8 @@ impl Copier {
         // rot-free runs are byte-identical), then the scrub walker. Both
         // are host-side — no virtual time is charged; heal copies enter
         // the ordinary queues and pace like any other submission. The
-        // block runs *before* the assignment snapshot so a heal push
-        // (which activates its owner) is drained this round on the fast
-        // path exactly as the legacy all-clients snapshot would have.
+        // block runs *before* the round list is refreshed so a heal push
+        // (which activates its owner) is drained this round.
         if idx == 0 {
             if let Some(plan) = &self.cfg.fault_plan {
                 if let Some(p) = plan.decide_rot() {
@@ -1525,14 +1297,12 @@ impl Copier {
             }
         }
         // Snapshot boundary: clients registered after this point are
-        // invisible to this round on both paths (the legacy snapshot was
-        // taken here too). Stage-boundary refreshes below re-run the
-        // epoch check so a client *activated* mid-round (a push landing
-        // during an await) is drained by the later stages, matching the
-        // legacy snapshot's live ring reads.
+        // invisible to this round. Stage-boundary refreshes below re-run
+        // the epoch check so a client *activated* mid-round (a push
+        // landing during an await) is drained by the later stages.
         scratch.reg_watermark = self.next_reg.get();
         self.assigned_into(idx, scratch);
-        if self.hash_cached() {
+        if self.cfg.tracer.is_some() {
             // This round may mutate any assigned client's hashed state;
             // clients activated mid-round are marked by their doorbell.
             for c in scratch.clients.iter() {
@@ -1572,11 +1342,11 @@ impl Copier {
             while let Some(set) = c.set_at(si) {
                 si += 1;
                 while let Some(st) = set.kq.sync.pop() {
-                    self.handle_sync(&set, st);
+                    self.handle_sync(c, &set, st);
                     synced += 1;
                 }
                 while let Some(st) = set.uq.sync.pop() {
-                    self.handle_sync(&set, st);
+                    self.handle_sync(c, &set, st);
                     synced += 1;
                 }
             }
@@ -1634,11 +1404,9 @@ impl Copier {
             self.settle_pass(idx, scratch);
             return drained + synced > 0;
         }
-        // 5–7. Plan, dispatch, complete. A batch whose every selected gap
-        // is already in flight (a peer thread's open round holds it across
-        // an autoscale reassignment) plans nothing and charges nothing —
-        // count that round as settled, not active, so the thread takes the
-        // idle path and the clock can advance to the peer's completion.
+        // 5–7. Plan, dispatch, complete. A batch that plans nothing charges
+        // nothing — count that round as settled, not active, so the thread
+        // takes the idle path and the clock can advance.
         let acted = self.execute(core, &client, selected, &scratch.by_tid).await;
         if acted {
             self.stats.borrow_mut().rounds_active += 1;
@@ -1657,15 +1425,10 @@ impl Copier {
         acted || drained + synced > 0
     }
 
-    /// Round-end active-set maintenance (fast path only): every assigned
-    /// client that ended the round fully settled leaves the shard's
-    /// active set. Aborted-but-unfinalized leftovers are inert (never
-    /// selected; reclaimed by reap), so a settled client generates no
-    /// control-plane work until its next doorbell.
+    /// Round-end active-set maintenance: every assigned client that ended
+    /// the round fully settled leaves the shard's active set, and
+    /// generates no control-plane work until its next doorbell.
     fn settle_pass(&self, idx: usize, scratch: &mut RoundScratch) {
-        if !self.fast_path() {
-            return;
-        }
         self.assigned_into(idx, scratch);
         // Collect-then-deactivate: deactivation mutates the active map
         // the scratch list mirrors, and bumps the epoch so the next
@@ -1748,30 +1511,13 @@ impl Copier {
         if client.inflight_bytes.get().saturating_add(t.len as u64) > q.max_client_bytes {
             return false;
         }
-        if self.nshards() > 1 {
-            return self.admit_global_sharded(client);
-        }
-        let g = self.global_bytes.get();
-        if self.shedding.get() {
-            if g <= q.global_low_bytes {
-                self.shedding.set(false);
-            }
-        } else if g >= q.global_high_bytes {
-            self.shedding.set(true);
-        }
-        !self.shedding.get() || self.least_served(client)
-    }
-
-    /// Sharded global-watermark decision: the shard's live byte count
-    /// plus every peer's count as published at the last round barrier.
-    /// The peer snapshot only changes at barriers, so the decision is
-    /// independent of how rounds interleave inside a generation — the
-    /// same hysteresis latch as the legacy path, per shard. Staleness is
-    /// bounded by one generation and errs at most `nshards - 1` rounds
-    /// of admissions past the high watermark, the price of not taking a
-    /// global lock on the hot path.
-    fn admit_global_sharded(&self, client: &Rc<Client>) -> bool {
-        let q = &self.cfg.admission;
+        // Global watermark: the shard's live byte count plus every peer's
+        // count as published at the last round barrier. The peer snapshot
+        // only changes at barriers, so the decision is independent of how
+        // rounds interleave inside a generation. Staleness is bounded by
+        // one generation and errs at most `nshards - 1` rounds of
+        // admissions past the high watermark, the price of not taking a
+        // global lock on the hot path.
         let sh = &self.shards[client.shard.get()];
         let g = sh.bytes.get().saturating_add(sh.peer_bytes.get());
         if sh.shedding.get() {
@@ -1797,35 +1543,24 @@ impl Copier {
         // live minimum is not strictly before `cur`" (the scan includes
         // `client` itself, and so does the cached minimum), which is what
         // lets the incremental min-vruntime cache answer in O(1).
+        //
+        // The exemption stays *global* under sharding: own-shard clients
+        // through the live minimum, peers through the minimum each shard
+        // published at the last barrier — deterministic, and stale by at
+        // most one generation.
         let cur = client.copied_total.get();
-        if self.nshards() > 1 {
-            // The exemption stays *global* under sharding: own-shard
-            // clients through the live minimum, peers through the minimum
-            // each shard published at the last barrier — deterministic,
-            // and stale by at most one generation.
-            let sh = &self.shards[client.shard.get()];
-            if let Some(pm) = sh.peer_min_vr.get() {
-                if vruntime_before(pm, cur) {
-                    return false;
-                }
-            }
-            return match self.shard_min_vr(client.shard.get()) {
-                Some(m) => !vruntime_before(m, cur),
-                None => true,
-            };
+        let sh = &self.shards[client.shard.get()];
+        if sh
+            .peer_min_vr
+            .get()
+            .is_some_and(|pm| vruntime_before(pm, cur))
+        {
+            return false;
         }
-        if !self.cfg.full_sweep {
-            return match self.shard_min_vr(0) {
-                Some(m) => !vruntime_before(m, cur),
-                None => true,
-            };
+        match self.shard_min_vr(client.shard.get()) {
+            Some(m) => !vruntime_before(m, cur),
+            None => true,
         }
-        !self
-            .clients
-            .borrow()
-            .iter()
-            .filter(|c| !c.dead.get())
-            .any(|c| vruntime_before(c.copied_total.get(), cur))
     }
 
     /// Rejects a submission: the descriptor is poisoned `Overloaded` (a
@@ -1960,14 +1695,13 @@ impl Copier {
         // Admission accounting: the task now occupies window capacity.
         client.inflight_tasks.set(client.inflight_tasks.get() + 1);
         client.inflight_bytes.set(client.inflight_bytes.get() + len);
-        self.global_bytes.set(self.global_bytes.get() + len);
         self.shard_bytes_add(client, len);
         // A fresh entry's remaining() is its full length.
         self.shard_pending_add(client, len);
     }
 
     /// Serves one Sync Task: promotion (with dependency closure) or abort.
-    fn handle_sync(&self, set: &Rc<QueueSet>, st: SyncTask) {
+    fn handle_sync(&self, client: &Rc<Client>, set: &Rc<QueueSet>, st: SyncTask) {
         self.stats.borrow_mut().syncs += 1;
         let pending = set.pending.borrow();
         let lo = st.addr.0 as usize;
@@ -2008,6 +1742,14 @@ impl Copier {
             e.aborted.set(true);
             e.task.descr.poison(CopyFault::Aborted);
             self.stats.borrow_mut().aborts += 1;
+            // Retire the entry now — a finished entry is never selected
+            // again, so nothing else would return its credit, quota,
+            // admitted bytes, window slot and index records, or fire its
+            // handler before a reap. Bytes still in flight belong to an
+            // open batch, whose completion pass finalizes the entry.
+            if e.inflight.borrow().is_empty() {
+                self.finalize(client, set, &e);
+            }
             return;
         }
         // Promote the target and its dependency closure (§4.2.2). Reads
@@ -2222,12 +1964,9 @@ impl Copier {
         by_tid.borrow_mut().clear();
         let mut planned_bytes = 0usize;
         // Whether this call did anything observable (planned bytes, took a
-        // fault, crashed). A batch can select entries yet plan nothing —
-        // every selected gap already in flight from a peer thread's open
-        // round after an autoscale reassignment — and such a call charges
-        // no virtual time, so the caller must treat the round as idle or a
-        // hot thread could spin at a frozen clock waiting for the peer's
-        // completion timer that only an idle park lets fire.
+        // fault, crashed). A batch that selects entries yet plans nothing
+        // charges no virtual time, so the caller must treat the round as
+        // idle or a hot thread could spin at a frozen clock.
         let mut acted = false;
 
         for s in &sel {
@@ -2646,8 +2385,6 @@ impl Copier {
                 .get()
                 .saturating_sub(e.task.len as u64),
         );
-        self.global_bytes
-            .set(self.global_bytes.get().saturating_sub(e.task.len as u64));
         self.shard_bytes_sub(client, e.task.len as u64);
         // The delivery claim (client memory, survives a crash) is the
         // exactly-once gate: handler and credit fire for the first
@@ -2842,26 +2579,21 @@ impl Copier {
         // Return every admission resource the client still held: quota
         // bytes leave the global window, counters zero, and the credit
         // pool refills so nothing leaks across client generations.
-        self.global_bytes.set(
-            self.global_bytes
-                .get()
-                .saturating_sub(client.inflight_bytes.get()),
-        );
         self.shard_bytes_sub(client, client.inflight_bytes.get());
         client.inflight_tasks.set(0);
         client.inflight_bytes.set(0);
         client.pinned.set(0);
         client.credits.set(client.credit_cap.get());
         // Incremental-aggregate exits (DESIGN.md §18): the client leaves
-        // the active set, the cached min-vruntime, and — when delta-folded
-        // hashing is on — the shard hash sums. Its window is empty now
+        // the active set, the cached min-vruntime, and — when tracing —
+        // the shard hash sums. Its window is empty now
         // (the sweep above finalized everything), so the pending
         // aggregate already dropped through finalize.
         self.deactivate(client);
         if !was_dead {
             self.minvr_reap(client);
         }
-        if self.hash_cached() {
+        if self.cfg.tracer.is_some() {
             let sh = &self.shards[client.shard.get()];
             let (hp, hx) = client.hash_cache.get();
             sh.hp_sum.set(sh.hp_sum.get().wrapping_sub(hp));
@@ -3108,12 +2840,9 @@ impl Copier {
         client.hash_dirty.set(false);
         self.clients.borrow_mut().push(Rc::clone(client));
         self.minvr_register(client);
-        if self.hash_cached() {
-            self.mark_hash_dirty(client);
-        }
         // The adopted window may hold unfinished entries with no ring
-        // push to doorbell them; activation here keeps the fast path's
-        // invariant (unsettled ⇒ active).
+        // push to doorbell them; activation here keeps the invariant
+        // unsettled ⇒ active (and marks the hash contribution dirty).
         self.activate(client);
         self.bump_assign_epoch();
         let recovered = self.recovered.borrow();
@@ -3177,8 +2906,6 @@ impl Copier {
         // Adopt the client's admitted bytes into this incarnation's
         // global window *before* finalizing, so the subtraction on the
         // finalize path balances.
-        self.global_bytes
-            .set(self.global_bytes.get() + client.inflight_bytes.get());
         self.shard_bytes_add(client, client.inflight_bytes.get());
         let refinalized = finish.len() as u64;
         for (set, e) in &finish {
@@ -3269,50 +2996,40 @@ impl Copier {
     }
 }
 
-/// Folds one client's window and index state into the `(pending, index)`
-/// trace hashes. Every component is iterated in a deterministic order
+/// One client's contribution to its shard's commutative `(pending,
+/// index)` trace hashes, folded from a fresh FNV offset so contributions
+/// can be summed (and later subtracted) independently of iteration order.
+/// Inside the client every component is iterated in a deterministic order
 /// (registration order for sets, window-key order for entries, BTreeMap
 /// order inside the index), so equal states hash equal regardless of how
 /// they were reached.
-fn fold_client_state(c: &Rc<Client>, hp: &mut u64, hx: &mut u64) {
-    fold_client_state_inner(c, hp, hx)
-}
-
-/// One client's contribution to the commutative multi-shard hashes:
-/// the same per-client fold as [`fold_client_state`], but from a fresh
-/// FNV offset so contributions can be summed (and later subtracted)
-/// independently of iteration order.
 fn fold_client_commutative(c: &Rc<Client>) -> (u64, u64) {
     let mut hp = FNV_OFFSET;
     let mut hx = FNV_OFFSET;
-    fold_client_state_inner(c, &mut hp, &mut hx);
-    (hp, hx)
-}
-
-fn fold_client_state_inner(c: &Rc<Client>, hp: &mut u64, hx: &mut u64) {
     let mut si = 0;
     while let Some(set) = c.set_at(si) {
         si += 1;
         for e in set.pending.borrow().iter() {
-            *hp = fnv_fold(*hp, e.tid);
-            *hp = fnv_fold(*hp, e.key.0);
-            *hp = fnv_fold(*hp, e.key.1 as u64);
-            *hp = fnv_fold(*hp, e.key.2);
-            *hp = fnv_fold(*hp, e.task.len as u64);
+            hp = fnv_fold(hp, e.tid);
+            hp = fnv_fold(hp, e.key.0);
+            hp = fnv_fold(hp, e.key.1 as u64);
+            hp = fnv_fold(hp, e.key.2);
+            hp = fnv_fold(hp, e.task.len as u64);
             for ivs in [&e.copied, &e.inflight, &e.deferred] {
                 for (lo, hi) in ivs.borrow().iter() {
-                    *hp = fnv_fold(*hp, lo as u64);
-                    *hp = fnv_fold(*hp, hi as u64);
+                    hp = fnv_fold(hp, lo as u64);
+                    hp = fnv_fold(hp, hi as u64);
                 }
-                *hp = fnv_fold(*hp, u64::MAX); // interval-set sentinel
+                hp = fnv_fold(hp, u64::MAX); // interval-set sentinel
             }
             let flags = (e.promoted.get() as u64)
                 | (e.aborted.get() as u64) << 1
                 | (e.failed.get().map_or(0, |f| copy_fault_code(f) as u64)) << 2;
-            *hp = fnv_fold(*hp, flags);
+            hp = fnv_fold(hp, flags);
         }
-        *hx = fnv_fold(*hx, set.index.digest());
+        hx = fnv_fold(hx, set.index.digest());
     }
+    (hp, hx)
 }
 
 /// Cuts a gap list down to at most `cap` total bytes (copy-slice rounds).

@@ -25,8 +25,11 @@ use std::rc::Rc;
 
 /// Magic prefix of an encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"CPTR";
-/// Encoding version.
-pub const TRACE_VERSION: u8 = 1;
+/// Encoding version. Version 2 has one round scheme at every shard
+/// count: `ShardRoundStart`/`ShardRoundEnd` with commutative per-shard
+/// state hashes (version 1's unsharded `RoundStart`/`RoundEnd` chain and
+/// its wire tags 3 and 10 are retired).
+pub const TRACE_VERSION: u8 = 2;
 
 /// FNV-1a offset basis — the digest seed used by every state hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -55,9 +58,6 @@ pub enum TraceEvent {
     Submission { tenant: u32, at: u64, len: u64 },
     /// A batch of race instants drawn from the fault plan.
     RaceTimes { times: Vec<u64> },
-    /// A service round began (lazy: only emitted for rounds that produce
-    /// at least one other event).
-    RoundStart { round: u64, now: u64 },
     /// The drain boundary: copy entries and sync tasks pulled this round.
     Drained { copies: u64, syncs: u64 },
     /// One admission decision at the drain boundary.
@@ -75,14 +75,6 @@ pub enum TraceEvent {
     /// A descriptor state transition: a window entry was finalized.
     /// `fault` is 0 for clean completion (see the service's encoding).
     TaskDone { tid: u64, fault: u8 },
-    /// Round boundary with state hashes: pending window, address index,
-    /// service stats.
-    RoundEnd {
-        round: u64,
-        pending: u64,
-        index: u64,
-        stats: u64,
-    },
     /// Periodic physical-memory digest (checkpoint granularity; see
     /// DESIGN.md §14 for why it is not per-round).
     MemDigest { round: u64, digest: u64 },
@@ -98,9 +90,9 @@ pub enum TraceEvent {
     /// One pinned-page bit-rot draw: `hit` whether rot fires this
     /// round, `pos` the seeded bit position it lands on.
     RotDraw { hit: bool, pos: u64 },
-    /// A shard's service round began (sharded control plane, DESIGN.md
-    /// §17; lazy, like `RoundStart`). `round` is the shard-local round
-    /// counter.
+    /// A shard's service round began (DESIGN.md §17; lazy: only emitted
+    /// for rounds that produce at least one other event). `round` is the
+    /// shard-local round counter.
     ShardRoundStart { shard: u32, round: u64, now: u64 },
     /// Shard round boundary with that shard's state hashes: the pending
     /// windows and address indexes of its clients, plus its per-shard
@@ -165,11 +157,6 @@ impl TraceEvent {
                     put_varint(out, t);
                 }
             }
-            TraceEvent::RoundStart { round, now } => {
-                out.push(3);
-                put_varint(out, *round);
-                put_varint(out, *now);
-            }
             TraceEvent::Drained { copies, syncs } => {
                 out.push(4);
                 put_varint(out, *copies);
@@ -201,18 +188,6 @@ impl TraceEvent {
                 out.push(9);
                 put_varint(out, *tid);
                 out.push(*fault);
-            }
-            TraceEvent::RoundEnd {
-                round,
-                pending,
-                index,
-                stats,
-            } => {
-                out.push(10);
-                put_varint(out, *round);
-                put_varint(out, *pending);
-                put_varint(out, *index);
-                put_varint(out, *stats);
             }
             TraceEvent::MemDigest { round, digest } => {
                 out.push(11);
@@ -286,10 +261,6 @@ impl TraceEvent {
                 }
                 TraceEvent::RaceTimes { times }
             }
-            3 => TraceEvent::RoundStart {
-                round: get_varint(buf, pos)?,
-                now: get_varint(buf, pos)?,
-            },
             4 => TraceEvent::Drained {
                 copies: get_varint(buf, pos)?,
                 syncs: get_varint(buf, pos)?,
@@ -309,12 +280,6 @@ impl TraceEvent {
             9 => TraceEvent::TaskDone {
                 tid: get_varint(buf, pos)?,
                 fault: byte(pos)?,
-            },
-            10 => TraceEvent::RoundEnd {
-                round: get_varint(buf, pos)?,
-                pending: get_varint(buf, pos)?,
-                index: get_varint(buf, pos)?,
-                stats: get_varint(buf, pos)?,
             },
             11 => TraceEvent::MemDigest {
                 round: get_varint(buf, pos)?,
@@ -394,7 +359,7 @@ impl Trace {
     pub fn rounds(&self) -> usize {
         self.events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::RoundStart { .. }))
+            .filter(|e| matches!(e, TraceEvent::ShardRoundStart { .. }))
             .count()
     }
 
@@ -452,18 +417,12 @@ impl Trace {
         let mut round = 0u64;
         let mut shard = 0u32;
         for i in 0..n {
-            match self.events[i] {
-                TraceEvent::RoundStart { round: r, .. } => {
-                    round = r;
-                    shard = 0;
-                }
-                TraceEvent::ShardRoundStart {
-                    shard: s, round: r, ..
-                } => {
-                    round = r;
-                    shard = s;
-                }
-                _ => {}
+            if let TraceEvent::ShardRoundStart {
+                shard: s, round: r, ..
+            } = self.events[i]
+            {
+                round = r;
+                shard = s;
             }
             if self.events[i] != other.events[i] {
                 return Some(Divergence {
@@ -495,11 +454,10 @@ impl Trace {
 /// The first point where a replay left the recorded timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Round current when the mismatch was detected (0 = before the
-    /// first recorded round). Shard-local on sharded runs.
+    /// Shard-local round current when the mismatch was detected (0 =
+    /// before the first recorded round).
     pub round: u64,
-    /// Shard whose round was current when the mismatch was detected
-    /// (always 0 on unsharded runs).
+    /// Shard whose round was current when the mismatch was detected.
     pub shard: u32,
     /// Index into the recorded event stream.
     pub pos: usize,
@@ -546,22 +504,19 @@ pub struct Tracer {
     cursor: Cell<usize>,
     diverged: RefCell<Option<Divergence>>,
     round: Cell<u64>,
-    /// Lazily emitted round header: set by `begin_round`, flushed by the
-    /// first real event of the round, dropped by `end_round` if none came.
-    header: Cell<Option<(u64, u64)>>,
-    flushed: Cell<bool>,
     active_rounds: Cell<u64>,
     mem_interval: Cell<u64>,
-    /// Sharded control plane (DESIGN.md §17): the shard whose round
-    /// header an anonymous emit (fault-plan draw) attributes to — the
-    /// last shard that emitted through `emit_on`. Always 0 unsharded.
+    /// The shard whose round header an anonymous emit (fault-plan draw)
+    /// attributes to — the last shard that opened a round or emitted
+    /// through `emit_on`.
     shard_cur: Cell<u32>,
-    /// One lazy round header per shard, same protocol as `header`.
+    /// One lazy round header per shard: set by `begin_shard_round`,
+    /// flushed by the first real event of the round, dropped by
+    /// `end_shard_round` if none came.
     shard_slots: RefCell<Vec<ShardSlot>>,
 }
 
-/// Per-shard lazy round header state (mirrors the unsharded
-/// `header`/`flushed` pair).
+/// Per-shard lazy round header state.
 #[derive(Clone, Copy, Default)]
 struct ShardSlot {
     round: u64,
@@ -589,8 +544,6 @@ impl Tracer {
             cursor: Cell::new(0),
             diverged: RefCell::new(None),
             round: Cell::new(0),
-            header: Cell::new(None),
-            flushed: Cell::new(false),
             active_rounds: Cell::new(0),
             mem_interval: Cell::new(DEFAULT_MEM_INTERVAL),
             shard_cur: Cell::new(0),
@@ -650,16 +603,12 @@ impl Tracer {
     }
 
     fn flush_header(&self) {
-        if let Some((round, now)) = self.header.take() {
-            self.flushed.set(true);
-            self.push(TraceEvent::RoundStart { round, now });
-        }
-        // Sharded runs buffer one header per shard; an event is
-        // attributed to the shard that last emitted through `emit_on`
-        // (anonymous draws inherit it — every *active* shard round
-        // flushes its own header through a service emit first, so an
-        // inherited flush only ever surfaces an otherwise-idle round,
-        // deterministically on record and replay alike).
+        // One header is buffered per shard; an event is attributed to the
+        // shard that last emitted through `emit_on` (anonymous draws
+        // inherit it — every *active* shard round flushes its own header
+        // through a service emit first, so an inherited flush only ever
+        // surfaces an otherwise-idle round, deterministically on record
+        // and replay alike).
         let cur = self.shard_cur.get() as usize;
         let hdr = {
             let mut slots = self.shard_slots.borrow_mut();
@@ -684,25 +633,17 @@ impl Tracer {
     }
 
     /// Emits one event on behalf of `shard`, flushing that shard's
-    /// pending round header first (sharded control plane, DESIGN.md §17).
+    /// pending round header first (DESIGN.md §17).
     pub fn emit_on(&self, shard: u32, ev: TraceEvent) {
         self.shard_cur.set(shard);
         self.flush_header();
         self.push(ev);
     }
 
-    /// Opens round `round` at virtual instant `now` (header stays
-    /// buffered until the round emits something).
-    pub fn begin_round(&self, round: u64, now: u64) {
-        self.round.set(round);
-        self.header.set(Some((round, now)));
-        self.flushed.set(false);
-    }
-
     /// Opens shard-local round `round` of `shard` at virtual instant
-    /// `now`. Like `begin_round`, the header stays buffered until the
-    /// shard emits something through `emit_on` (or an anonymous draw
-    /// lands while this shard is current).
+    /// `now`. The header stays buffered until the shard emits something
+    /// through `emit_on` (or an anonymous draw lands while this shard is
+    /// current).
     pub fn begin_shard_round(&self, shard: u32, round: u64, now: u64) {
         self.round.set(round);
         self.shard_cur.set(shard);
@@ -737,27 +678,6 @@ impl Tracer {
         self.push(TraceEvent::ShardRoundEnd {
             shard,
             round,
-            pending,
-            index,
-            stats,
-        });
-        let n = self.active_rounds.get() + 1;
-        self.active_rounds.set(n);
-        n.is_multiple_of(self.mem_interval.get())
-    }
-
-    /// Closes the round. If it was active (emitted anything), a
-    /// `RoundEnd` carrying the `(pending, index, stats)` hashes from the
-    /// closure is appended; the closure is never called for idle rounds.
-    /// Returns whether a memory digest checkpoint is due.
-    pub fn end_round(&self, hashes: impl FnOnce() -> (u64, u64, u64)) -> bool {
-        self.header.set(None);
-        if !self.flushed.get() {
-            return false;
-        }
-        let (pending, index, stats) = hashes();
-        self.push(TraceEvent::RoundEnd {
-            round: self.round.get(),
             pending,
             index,
             stats,
@@ -975,7 +895,8 @@ mod tests {
             TraceEvent::RaceTimes {
                 times: vec![5, 1 << 40, 0],
             },
-            TraceEvent::RoundStart {
+            TraceEvent::ShardRoundStart {
+                shard: 0,
                 round: 1,
                 now: 12345,
             },
@@ -992,7 +913,8 @@ mod tests {
             TraceEvent::DmaDraw { fault: 2 },
             TraceEvent::AtcDraw { stale: false },
             TraceEvent::TaskDone { tid: 7, fault: 0 },
-            TraceEvent::RoundEnd {
+            TraceEvent::ShardRoundEnd {
+                shard: 0,
                 round: 1,
                 pending: u64::MAX,
                 index: 0,
@@ -1042,7 +964,7 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Trace::decode(b"").is_err());
         assert!(Trace::decode(b"NOPE\x01\x00").is_err());
-        assert!(Trace::decode(b"CPTR\x02\x00").is_err(), "bad version");
+        assert!(Trace::decode(b"CPTR\x01\x00").is_err(), "bad version");
         let mut bytes = Trace::new(sample_events()).encode();
         bytes.push(0xff);
         assert!(Trace::decode(&bytes).is_err(), "trailing bytes");
@@ -1063,47 +985,17 @@ mod tests {
     }
 
     #[test]
-    fn lazy_round_headers_skip_idle_rounds() {
-        let t = Tracer::record();
-        t.begin_round(1, 100);
-        assert!(!t.end_round(|| unreachable!("idle rounds are never hashed")));
-        t.begin_round(2, 200);
-        t.emit(TraceEvent::Drained {
-            copies: 1,
-            syncs: 0,
-        });
-        t.end_round(|| (1, 2, 3));
-        let trace = t.finish();
-        assert_eq!(
-            trace.events(),
-            &[
-                TraceEvent::RoundStart { round: 2, now: 200 },
-                TraceEvent::Drained {
-                    copies: 1,
-                    syncs: 0
-                },
-                TraceEvent::RoundEnd {
-                    round: 2,
-                    pending: 1,
-                    index: 2,
-                    stats: 3
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn replay_lockstep_accepts_faithful_stream() {
         let rec = Tracer::record();
-        rec.begin_round(1, 10);
-        rec.emit(TraceEvent::SchedPick { client: 1 });
-        rec.end_round(|| (7, 8, 9));
+        rec.begin_shard_round(0, 1, 10);
+        rec.emit_on(0, TraceEvent::SchedPick { client: 1 });
+        rec.end_shard_round(0, || (7, 8, 9));
         let trace = rec.finish();
 
         let rep = Tracer::replay(trace.clone());
-        rep.begin_round(1, 10);
-        rep.emit(TraceEvent::SchedPick { client: 1 });
-        rep.end_round(|| (7, 8, 9));
+        rep.begin_shard_round(0, 1, 10);
+        rep.emit_on(0, TraceEvent::SchedPick { client: 1 });
+        rep.end_shard_round(0, || (7, 8, 9));
         assert_eq!(rep.divergence(), None);
         assert_eq!(rep.finish().encode(), trace.encode());
     }
@@ -1112,19 +1004,19 @@ mod tests {
     fn replay_flags_first_mismatch_with_round() {
         let rec = Tracer::record();
         for r in 1..=3u64 {
-            rec.begin_round(r, r * 10);
-            rec.emit(TraceEvent::SchedPick { client: 1 });
-            rec.end_round(|| (r, r, r));
+            rec.begin_shard_round(0, r, r * 10);
+            rec.emit_on(0, TraceEvent::SchedPick { client: 1 });
+            rec.end_shard_round(0, || (r, r, r));
         }
         let trace = rec.finish();
 
         let rep = Tracer::replay(trace);
-        rep.begin_round(1, 10);
-        rep.emit(TraceEvent::SchedPick { client: 1 });
-        rep.end_round(|| (1, 1, 1));
-        rep.begin_round(2, 20);
-        rep.emit(TraceEvent::SchedPick { client: 9 }); // wrong
-        rep.end_round(|| (2, 2, 2));
+        rep.begin_shard_round(0, 1, 10);
+        rep.emit_on(0, TraceEvent::SchedPick { client: 1 });
+        rep.end_shard_round(0, || (1, 1, 1));
+        rep.begin_shard_round(0, 2, 20);
+        rep.emit_on(0, TraceEvent::SchedPick { client: 9 }); // wrong
+        rep.end_shard_round(0, || (2, 2, 2));
         let d = rep.divergence().expect("must diverge");
         assert_eq!(d.round, 2);
         assert_eq!(d.expected, Some(TraceEvent::SchedPick { client: 1 }), "{d}");
@@ -1133,24 +1025,24 @@ mod tests {
     #[test]
     fn replay_feeds_back_draws_and_flags_unconsumed_tail() {
         let rec = Tracer::record();
-        rec.begin_round(1, 1);
+        rec.begin_shard_round(0, 1, 1);
         rec.emit(TraceEvent::DmaDraw { fault: 3 });
         rec.emit(TraceEvent::AtcDraw { stale: true });
-        rec.end_round(|| (0, 0, 0));
+        rec.end_shard_round(0, || (0, 0, 0));
         let trace = rec.finish();
 
         let rep = Tracer::replay(trace.clone());
-        rep.begin_round(1, 1);
+        rep.begin_shard_round(0, 1, 1);
         // Headers flush through draw consumption too: emit something
         // first the way the service would (drain/sched before draws).
         rep.emit(TraceEvent::DmaDraw { fault: 3 });
         assert_eq!(rep.take_atc(), Some(true));
-        rep.end_round(|| (0, 0, 0));
+        rep.end_shard_round(0, || (0, 0, 0));
         assert_eq!(rep.divergence(), None);
 
         // A replay that stops early leaves recorded events unconsumed.
         let rep2 = Tracer::replay(trace);
-        rep2.begin_round(1, 1);
+        rep2.begin_shard_round(0, 1, 1);
         rep2.emit(TraceEvent::DmaDraw { fault: 3 });
         let _ = rep2.finish();
         assert!(rep2.divergence().is_some(), "unconsumed tail must flag");

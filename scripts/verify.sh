@@ -79,26 +79,26 @@ else
 fi
 echo "BENCH_shardscale.json OK"
 
-# Soak smoke: the O(active)-per-round control plane must beat the
-# full-sweep reference on per-round cost, produce ordered latency
-# percentiles from a non-empty sample population, and replay the same
-# seed bit-identically (DESIGN.md §18). The ≥20× reduction and p999
-# bars are full-mode only — smoke tenant counts are too small for the
-# sweep cost to dominate honestly.
+# Soak smoke: the O(active)-per-round control plane must keep its host
+# round cost flat as idle registrants grow 10x (and the two sizes must
+# land bit-identical runs), produce ordered latency percentiles from a
+# non-empty sample population, and replay the same seed bit-identically
+# (DESIGN.md §18). The ≤2x flatness and p999 bars are full-mode only —
+# smoke tenant counts are too small for the idle mass to dominate.
 SOAK_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_soak
 if command -v jq >/dev/null 2>&1; then
     jq -e '(([.points[] | select(.settled > 0)] | length) == (.points | length))
        and ([.points[] | .p50_ns <= .p99_ns and .p99_ns <= .p999_ns] | all)
        and ([.summary[] | select(.name == "soak_determinism")] | all(.value == 1))
-       and ([.summary[] | select(.name == "round_cost_reduction_1e5")] | all(.value > 1))' BENCH_soak.json >/dev/null
+       and ([.summary[] | select(.name == "round_cost_flatness_1e4_1e5")] | all(.value > 0))' BENCH_soak.json >/dev/null
 else
     python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_soak.json"))
 ok = all(p["settled"] > 0 and p["p50_ns"] <= p["p99_ns"] <= p["p999_ns"] for p in d["points"])
 det = [r for r in d["summary"] if r["name"] == "soak_determinism"]
-red = [r for r in d["summary"] if r["name"] == "round_cost_reduction_1e5"]
-ok = ok and det and all(r["value"] == 1 for r in det) and red and all(r["value"] > 1 for r in red)
+flat = [r for r in d["summary"] if r["name"] == "round_cost_flatness_1e4_1e5"]
+ok = ok and det and all(r["value"] == 1 for r in det) and flat and all(r["value"] > 0 for r in flat)
 sys.exit(0 if ok else 1)
 PY
 fi

@@ -480,7 +480,7 @@ fn chaos_replay_divergence_localizes() {
     let mut hit = None;
     for (i, e) in trace.events().iter().enumerate() {
         match e {
-            TraceEvent::RoundStart { round: r, .. } => round = *r,
+            TraceEvent::ShardRoundStart { round: r, .. } => round = *r,
             TraceEvent::DmaDraw { .. } if hit.is_none() => hit = Some((i, round)),
             _ => {}
         }

@@ -22,6 +22,10 @@
 //!    counters), including under chaos and crash — and a recorded
 //!    4-shard run replays with zero divergence.
 //!
+//! Tiers 2 and 3 also run with barrier auto-scaling and with
+//! scenario-driven polling, the two thread policies the round barrier
+//! decides besides plain NAPI polling.
+//!
 //! Reproduce failures with the printed `TESTKIT_REPRO=<seed>` line.
 
 use std::cell::{Cell, RefCell};
@@ -37,6 +41,18 @@ use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim, Tracer};
 use copier_testkit::prop::{check_with, Config, PropResult};
 use copier_testkit::{assert_no_pinned_leaks, prop_assert, prop_assert_eq, TestRng};
 
+/// How the service threads poll and scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Threads {
+    /// NAPI polling, one thread per shard.
+    Napi,
+    /// NAPI polling with barrier auto-scaling (1..=shards threads).
+    AutoScale,
+    /// Scenario-driven polling; the scenario is switched off for a
+    /// while mid-run.
+    Scenario,
+}
+
 /// One multi-tenant scenario, identical across every shard count it is
 /// run at — only `shards` varies between differential runs.
 #[derive(Debug, Clone)]
@@ -47,6 +63,7 @@ struct DiffCase {
     ncopies: usize,
     len: usize,
     faults: Option<FaultConfig>,
+    threads: Threads,
 }
 
 fn gen_base(rng: &mut TestRng) -> DiffCase {
@@ -56,7 +73,21 @@ fn gen_base(rng: &mut TestRng) -> DiffCase {
         ncopies: rng.range_usize(2, 5),
         len: rng.range_usize(2, 12) * 4 * 1024 + rng.range_usize(0, 3) * 512,
         faults: None,
+        threads: Threads::Napi,
     }
+}
+
+/// Crash/restart envelope: DMA transients plus injected service crashes.
+fn gen_crash(rng: &mut TestRng) -> DiffCase {
+    let mut case = gen_base(rng);
+    case.faults = Some(FaultConfig {
+        seed: case.seed ^ 0xDEAD,
+        dma_transient_prob: rng.gen_f64() * 0.2,
+        crash_prob: 0.05 + rng.gen_f64() * 0.35,
+        max_crashes: rng.range_usize(1, 4) as u64,
+        ..Default::default()
+    });
+    case
 }
 
 /// Chaos envelope: execution faults plus silent corruption (the service
@@ -146,12 +177,34 @@ fn shard_cfg(case: &DiffCase, shards: usize) -> CopierConfig {
         } else {
             copier::core::VerifyPolicy::Off
         },
-        polling: PollMode::Napi {
-            spin_rounds: 64,
-            park_timeout: Nanos(20_000),
+        polling: if case.threads == Threads::Scenario {
+            PollMode::ScenarioDriven
+        } else {
+            PollMode::Napi {
+                spin_rounds: 64,
+                park_timeout: Nanos(20_000),
+            }
         },
+        auto_scale: case.threads == Threads::AutoScale,
+        low_load: 4 * 1024,
+        high_load: 32 * 1024,
         ..Default::default()
     }
+}
+
+/// Scenario-driven runs: the scenario goes inactive 20 µs into the run
+/// and active again 40 µs later, on whichever incarnation is installed.
+fn spawn_scenario_toggle(sim: &mut Sim, os: &Rc<Os>, case: &DiffCase) {
+    if case.threads != Threads::Scenario {
+        return;
+    }
+    let (os2, h) = (Rc::clone(os), sim.handle());
+    sim.spawn("scenario", async move {
+        h.sleep(Nanos(20_000)).await;
+        os2.copier().set_scenario_active(false);
+        h.sleep(Nanos(40_000)).await;
+        os2.copier().set_scenario_active(true);
+    });
 }
 
 fn run_diff(case: &DiffCase, shards: usize) -> Exact {
@@ -168,6 +221,7 @@ fn run_diff(case: &DiffCase, shards: usize) -> Exact {
             .collect(),
         cfg,
     );
+    spawn_scenario_toggle(&mut sim, &os, case);
 
     let done = Rc::new(Cell::new(0usize));
     let mut tenants = Vec::new();
@@ -312,15 +366,18 @@ fn chaos_at_n_shards_preserves_invariants_and_determinism() {
         &cases(96),
         |rng: &mut TestRng| (gen_chaos(rng), rng.range_usize(2, 5)),
         |_| Vec::new(),
-        |(case, shards): &(DiffCase, usize)| -> PropResult {
-            let a = run_diff(case, *shards);
-            prop_assert!(a.phantom.is_none(), "{:?}", a.phantom);
-            prop_assert_eq!(a.outcome.pinned, 0, "pins leaked");
-            let b = run_diff(case, *shards);
-            prop_assert_eq!(&a, &b, "same seed, same shard count, different run");
-            Ok(())
-        },
+        |(case, shards): &(DiffCase, usize)| check_chaos(case, *shards),
     );
+}
+
+/// Chaos invariants plus same-seed bit-identity at `shards`.
+fn check_chaos(case: &DiffCase, shards: usize) -> PropResult {
+    let a = run_diff(case, shards);
+    prop_assert!(a.phantom.is_none(), "{:?}", a.phantom);
+    prop_assert_eq!(a.outcome.pinned, 0, "pins leaked");
+    let b = run_diff(case, shards);
+    prop_assert_eq!(&a, &b, "same seed, same shard count, different run");
+    Ok(())
 }
 
 /// Tier 2 + 3 under crash/restart: a journaled N-shard service crashes
@@ -329,231 +386,252 @@ fn chaos_at_n_shards_preserves_invariants_and_determinism() {
 /// bytes, epoch counts incarnations) and seed-deterministic.
 #[test]
 fn crash_restart_at_n_shards_recovers_exactly_once() {
-    #[derive(Debug)]
-    struct CrashRun {
-        exact: Exact,
-        restarts: u64,
-        epoch: u64,
-        /// Per (tenant, copy): final fault + handler delivery count.
-        fired: Vec<(usize, usize, Option<CopyFault>, u64)>,
-    }
-
-    fn run_crash(case: &DiffCase, shards: usize) -> CrashRun {
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let machine = Machine::new(&h, case.tenants + shards);
-        let os = Os::boot(&h, machine, 8192);
-        let store = JournalStore::new();
-        let plan = case.faults.clone().map(FaultPlan::new);
-        let mut cfg = shard_cfg(case, shards);
-        cfg.fault_plan = plan.clone();
-        cfg.journal = Some(Rc::clone(&store));
-        let cores: Vec<_> = (0..shards)
-            .map(|i| os.machine.core(case.tenants + i))
-            .collect();
-        os.install_copier(cores.clone(), cfg.clone());
-
-        let done = Rc::new(Cell::new(0usize));
-        let restarts = Rc::new(Cell::new(0u64));
-        let mut tenants = Vec::new();
-        for t in 0..case.tenants {
-            let proc = os.spawn_process();
-            let lib = proc.lib();
-            let uspace = Rc::clone(&lib.uspace);
-            let mut bufs = Vec::new();
-            for c in 0..case.ncopies {
-                let src = uspace.mmap(case.len, Prot::RW, true).unwrap();
-                let dst = uspace.mmap(case.len, Prot::RW, true).unwrap();
-                uspace
-                    .write_bytes(src, &pattern(t, c, case.seed, case.len))
-                    .unwrap();
-                bufs.push((src, dst));
-            }
-            let counters: Vec<Rc<Cell<u64>>> =
-                (0..case.ncopies).map(|_| Rc::new(Cell::new(0))).collect();
-            tenants.push((
-                lib,
-                uspace,
-                bufs,
-                Rc::new(RefCell::new(Vec::new())),
-                counters,
-            ));
-        }
-
-        // Supervisor: reinstall over the shared journal store after a
-        // crash (same shard count — the restart recipe is the config)
-        // and reattach every tenant.
-        {
-            let os2 = Rc::clone(&os);
-            let libs: Vec<_> = tenants.iter().map(|t| Rc::clone(&t.0)).collect();
-            let h2 = h.clone();
-            let done2 = Rc::clone(&done);
-            let r2 = Rc::clone(&restarts);
-            let ntenants = case.tenants;
-            let score = os.machine.core(case.tenants);
-            sim.spawn("supervisor", async move {
-                loop {
-                    if done2.get() == ntenants {
-                        break;
-                    }
-                    if os2.copier().has_crashed() {
-                        r2.set(r2.get() + 1);
-                        let new_svc = os2.install_copier(cores.clone(), cfg.clone());
-                        for lib in &libs {
-                            lib.reattach(&score, &new_svc).await;
-                        }
-                    }
-                    h2.sleep(Nanos(5_000)).await;
-                }
-            });
-        }
-
-        for (t, (lib, _uspace, bufs, descrs, counters)) in tenants.iter().enumerate() {
-            let lib2 = Rc::clone(lib);
-            let os2 = Rc::clone(&os);
-            let h2 = h.clone();
-            let d2 = Rc::clone(descrs);
-            let done2 = Rc::clone(&done);
-            let counters2 = counters.clone();
-            let core = os.machine.core(t);
-            let bufs2 = bufs.clone();
-            let len = case.len;
-            let ntenants = case.tenants;
-            sim.spawn("tenant", async move {
-                for (i, &(src, dst)) in bufs2.iter().enumerate() {
-                    let c = Rc::clone(&counters2[i]);
-                    let opts = AmemcpyOpts {
-                        func: Some(Handler::UFunc(Rc::new(move || c.set(c.get() + 1)))),
-                        ..Default::default()
-                    };
-                    let d = lib2
-                        ._amemcpy(&core, dst, src, len, opts)
-                        .await
-                        .expect("admitted");
-                    d2.borrow_mut().push(d);
-                }
-                let _ = lib2.csync_all(&core).await;
-                // csync returns once the bytes are visible, but a crash
-                // between landing and finalize (PreFinalize point) leaves
-                // the handler — and the unpin — to the *restarted*
-                // incarnation. Drain with a bounded budget so recovery
-                // gets to run before teardown; a genuinely lost handler
-                // leaves its counter at zero and fails exactly-once below.
-                let mut spins = 0u32;
-                loop {
-                    let _ = lib2.post_handlers(&core).await;
-                    if counters2.iter().all(|c| c.get() > 0) || spins >= 2_000 {
-                        break;
-                    }
-                    spins += 1;
-                    h2.sleep(Nanos(2_000)).await;
-                }
-                done2.set(done2.get() + 1);
-                if done2.get() == ntenants {
-                    os2.copier().stop();
-                }
-            });
-        }
-        let end = sim.run();
-        let svc = os.copier();
-
-        let mut per_copy = Vec::new();
-        let mut fired = Vec::new();
-        let mut phantom = None;
-        for (t, (lib, uspace, bufs, descrs, counters)) in tenants.iter().enumerate() {
-            for (c, d) in descrs.borrow().iter().enumerate() {
-                let (_src, dst) = bufs[c];
-                let mut got = vec![0u8; case.len];
-                uspace.read_bytes(dst, &mut got).unwrap();
-                if d.fault().is_none() && got != pattern(t, c, case.seed, case.len) {
-                    phantom.get_or_insert_with(|| {
-                        format!("tenant {t} copy {c} clean but wrong after recovery")
-                    });
-                }
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                fnv(&mut digest, &got);
-                per_copy.push((t, c, d.fault(), digest));
-                fired.push((t, c, d.fault(), counters[c].get()));
-            }
-            assert_eq!(
-                lib.client.epoch.get(),
-                svc.epoch(),
-                "client epoch not restamped after restart"
-            );
-        }
-        // A pin leak is reported through the property (which prints the
-        // repro seed); the leaked spaces must outlive the check or their
-        // teardown aborts the process inside PhysMem's free assert.
-        if os.pm.pinned_frames() != 0 {
-            std::mem::forget(tenants.clone());
-            std::mem::forget(Rc::clone(&os));
-        }
-        let s = svc.stats();
-        CrashRun {
-            exact: Exact {
-                outcome: Outcome {
-                    per_copy,
-                    tasks_completed: s.tasks_completed,
-                    pinned: os.pm.pinned_frames(),
-                },
-                end: end.as_nanos(),
-                stats: stats_to_vec(&s),
-                per_shard: (0..svc.nshards()).map(|i| svc.shard_stats(i)).collect(),
-                phantom,
-            },
-            restarts: restarts.get(),
-            epoch: svc.epoch(),
-            fired,
-        }
-    }
-
     check_with(
         &cases(48),
-        |rng: &mut TestRng| {
-            let mut case = gen_base(rng);
-            case.faults = Some(FaultConfig {
-                seed: case.seed ^ 0xDEAD,
-                dma_transient_prob: rng.gen_f64() * 0.2,
-                crash_prob: 0.05 + rng.gen_f64() * 0.35,
-                max_crashes: rng.range_usize(1, 4) as u64,
-                ..Default::default()
-            });
-            (case, rng.range_usize(2, 5))
-        },
+        |rng: &mut TestRng| (gen_crash(rng), rng.range_usize(2, 5)),
         |_| Vec::new(),
-        |(case, shards): &(DiffCase, usize)| -> PropResult {
-            let a = run_crash(case, *shards);
-            prop_assert!(a.exact.phantom.is_none(), "{:?}", a.exact.phantom);
-            prop_assert_eq!(a.exact.outcome.pinned, 0, "pins leaked across restart");
-            prop_assert_eq!(
-                a.epoch,
-                a.restarts + 1,
-                "journal epoch must count incarnations"
-            );
-            for (t, c, fault, fired) in &a.fired {
-                match fault {
-                    // A clean copy's handler fires exactly once, however
-                    // many incarnations the task lived through.
-                    None => prop_assert_eq!(
-                        *fired,
-                        1,
-                        "tenant {} copy {} clean but handler fired {}x",
-                        t,
-                        c,
-                        fired
-                    ),
-                    Some(_) => prop_assert!(
-                        *fired <= 1,
-                        "tenant {} copy {} faulted yet handler fired {}x",
-                        t,
-                        c,
-                        fired
-                    ),
+        |(case, shards): &(DiffCase, usize)| check_crash(case, *shards),
+    );
+}
+
+/// Exactly-once crash recovery plus same-seed bit-identity at `shards`.
+fn check_crash(case: &DiffCase, shards: usize) -> PropResult {
+    let a = run_crash(case, shards);
+    prop_assert!(a.exact.phantom.is_none(), "{:?}", a.exact.phantom);
+    prop_assert_eq!(a.exact.outcome.pinned, 0, "pins leaked across restart");
+    prop_assert_eq!(
+        a.epoch,
+        a.restarts + 1,
+        "journal epoch must count incarnations"
+    );
+    for (t, c, fault, fired) in &a.fired {
+        match fault {
+            // A clean copy's handler fires exactly once, however
+            // many incarnations the task lived through.
+            None => prop_assert_eq!(
+                *fired,
+                1,
+                "tenant {} copy {} clean but handler fired {}x",
+                t,
+                c,
+                fired
+            ),
+            Some(_) => prop_assert!(
+                *fired <= 1,
+                "tenant {} copy {} faulted yet handler fired {}x",
+                t,
+                c,
+                fired
+            ),
+        }
+    }
+    let b = run_crash(case, shards);
+    prop_assert_eq!(&a.exact, &b.exact, "crash schedule not reproducible");
+    prop_assert_eq!(a.restarts, b.restarts);
+    Ok(())
+}
+
+#[derive(Debug)]
+struct CrashRun {
+    exact: Exact,
+    restarts: u64,
+    epoch: u64,
+    /// Per (tenant, copy): final fault + handler delivery count.
+    fired: Vec<(usize, usize, Option<CopyFault>, u64)>,
+}
+
+fn run_crash(case: &DiffCase, shards: usize) -> CrashRun {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let machine = Machine::new(&h, case.tenants + shards);
+    let os = Os::boot(&h, machine, 8192);
+    let store = JournalStore::new();
+    let plan = case.faults.clone().map(FaultPlan::new);
+    let mut cfg = shard_cfg(case, shards);
+    cfg.fault_plan = plan.clone();
+    cfg.journal = Some(Rc::clone(&store));
+    let cores: Vec<_> = (0..shards)
+        .map(|i| os.machine.core(case.tenants + i))
+        .collect();
+    os.install_copier(cores.clone(), cfg.clone());
+    spawn_scenario_toggle(&mut sim, &os, case);
+
+    let done = Rc::new(Cell::new(0usize));
+    let restarts = Rc::new(Cell::new(0u64));
+    let mut tenants = Vec::new();
+    for t in 0..case.tenants {
+        let proc = os.spawn_process();
+        let lib = proc.lib();
+        let uspace = Rc::clone(&lib.uspace);
+        let mut bufs = Vec::new();
+        for c in 0..case.ncopies {
+            let src = uspace.mmap(case.len, Prot::RW, true).unwrap();
+            let dst = uspace.mmap(case.len, Prot::RW, true).unwrap();
+            uspace
+                .write_bytes(src, &pattern(t, c, case.seed, case.len))
+                .unwrap();
+            bufs.push((src, dst));
+        }
+        let counters: Vec<Rc<Cell<u64>>> =
+            (0..case.ncopies).map(|_| Rc::new(Cell::new(0))).collect();
+        tenants.push((
+            lib,
+            uspace,
+            bufs,
+            Rc::new(RefCell::new(Vec::new())),
+            counters,
+        ));
+    }
+
+    // Supervisor: reinstall over the shared journal store after a
+    // crash (same shard count — the restart recipe is the config)
+    // and reattach every tenant.
+    {
+        let os2 = Rc::clone(&os);
+        let libs: Vec<_> = tenants.iter().map(|t| Rc::clone(&t.0)).collect();
+        let h2 = h.clone();
+        let done2 = Rc::clone(&done);
+        let r2 = Rc::clone(&restarts);
+        let ntenants = case.tenants;
+        let score = os.machine.core(case.tenants);
+        sim.spawn("supervisor", async move {
+            loop {
+                if done2.get() == ntenants {
+                    break;
                 }
+                if os2.copier().has_crashed() {
+                    r2.set(r2.get() + 1);
+                    let new_svc = os2.install_copier(cores.clone(), cfg.clone());
+                    for lib in &libs {
+                        lib.reattach(&score, &new_svc).await;
+                    }
+                }
+                h2.sleep(Nanos(5_000)).await;
             }
-            let b = run_crash(case, *shards);
-            prop_assert_eq!(&a.exact, &b.exact, "crash schedule not reproducible");
-            prop_assert_eq!(a.restarts, b.restarts);
+        });
+    }
+
+    for (t, (lib, _uspace, bufs, descrs, counters)) in tenants.iter().enumerate() {
+        let lib2 = Rc::clone(lib);
+        let os2 = Rc::clone(&os);
+        let h2 = h.clone();
+        let d2 = Rc::clone(descrs);
+        let done2 = Rc::clone(&done);
+        let counters2 = counters.clone();
+        let core = os.machine.core(t);
+        let bufs2 = bufs.clone();
+        let len = case.len;
+        let ntenants = case.tenants;
+        sim.spawn("tenant", async move {
+            for (i, &(src, dst)) in bufs2.iter().enumerate() {
+                let c = Rc::clone(&counters2[i]);
+                let opts = AmemcpyOpts {
+                    func: Some(Handler::UFunc(Rc::new(move || c.set(c.get() + 1)))),
+                    ..Default::default()
+                };
+                let d = lib2
+                    ._amemcpy(&core, dst, src, len, opts)
+                    .await
+                    .expect("admitted");
+                d2.borrow_mut().push(d);
+            }
+            let _ = lib2.csync_all(&core).await;
+            // csync returns once the bytes are visible, but a crash
+            // between landing and finalize (PreFinalize point) leaves
+            // the handler — and the unpin — to the *restarted*
+            // incarnation. Drain with a bounded budget so recovery
+            // gets to run before teardown; a genuinely lost handler
+            // leaves its counter at zero and fails exactly-once below.
+            let mut spins = 0u32;
+            loop {
+                let _ = lib2.post_handlers(&core).await;
+                if counters2.iter().all(|c| c.get() > 0) || spins >= 2_000 {
+                    break;
+                }
+                spins += 1;
+                h2.sleep(Nanos(2_000)).await;
+            }
+            done2.set(done2.get() + 1);
+            if done2.get() == ntenants {
+                os2.copier().stop();
+            }
+        });
+    }
+    let end = sim.run();
+    let svc = os.copier();
+
+    let mut per_copy = Vec::new();
+    let mut fired = Vec::new();
+    let mut phantom = None;
+    for (t, (lib, uspace, bufs, descrs, counters)) in tenants.iter().enumerate() {
+        for (c, d) in descrs.borrow().iter().enumerate() {
+            let (_src, dst) = bufs[c];
+            let mut got = vec![0u8; case.len];
+            uspace.read_bytes(dst, &mut got).unwrap();
+            if d.fault().is_none() && got != pattern(t, c, case.seed, case.len) {
+                phantom.get_or_insert_with(|| {
+                    format!("tenant {t} copy {c} clean but wrong after recovery")
+                });
+            }
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            fnv(&mut digest, &got);
+            per_copy.push((t, c, d.fault(), digest));
+            fired.push((t, c, d.fault(), counters[c].get()));
+        }
+        assert_eq!(
+            lib.client.epoch.get(),
+            svc.epoch(),
+            "client epoch not restamped after restart"
+        );
+    }
+    // A pin leak is reported through the property (which prints the
+    // repro seed); the leaked spaces must outlive the check or their
+    // teardown aborts the process inside PhysMem's free assert.
+    if os.pm.pinned_frames() != 0 {
+        std::mem::forget(tenants.clone());
+        std::mem::forget(Rc::clone(&os));
+    }
+    let s = svc.stats();
+    CrashRun {
+        exact: Exact {
+            outcome: Outcome {
+                per_copy,
+                tasks_completed: s.tasks_completed,
+                pinned: os.pm.pinned_frames(),
+            },
+            end: end.as_nanos(),
+            stats: stats_to_vec(&s),
+            per_shard: (0..svc.nshards()).map(|i| svc.shard_stats(i)).collect(),
+            phantom,
+        },
+        restarts: restarts.get(),
+        epoch: svc.epoch(),
+        fired,
+    }
+}
+
+/// The two thread policies the round barrier decides besides one NAPI
+/// thread per shard, at 2–4 shards: barrier auto-scaling (the last
+/// arriver moves the active thread count within `1..=shards` and the
+/// threads re-split the shards) and scenario-driven polling (the
+/// scenario switched off and on mid-run). Under each, the chaos
+/// invariants, same-seed bit-identity, and exactly-once crash recovery
+/// hold as with one thread per shard.
+#[test]
+fn autoscale_and_scenario_policies_at_n_shards_keep_invariants() {
+    check_with(
+        &cases(24),
+        |rng: &mut TestRng| (gen_chaos(rng), gen_crash(rng), rng.range_usize(2, 5)),
+        |_| Vec::new(),
+        |(chaos, crash, shards): &(DiffCase, DiffCase, usize)| -> PropResult {
+            for threads in [Threads::AutoScale, Threads::Scenario] {
+                let mut chaos = chaos.clone();
+                chaos.threads = threads;
+                check_chaos(&chaos, *shards)?;
+                let mut crash = crash.clone();
+                crash.threads = threads;
+                check_crash(&crash, *shards)?;
+            }
             Ok(())
         },
     );
@@ -678,6 +756,7 @@ fn space_hash_spreads_tenants_across_shards() {
         ncopies: 1,
         len: 4096,
         faults: None,
+        threads: Threads::Napi,
     };
     let exact = run_diff(&case, 4);
     let busy = exact.per_shard.iter().filter(|p| p.1 > 0).count();

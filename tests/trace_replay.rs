@@ -155,16 +155,17 @@ fn perturbed_round_hash_is_localized() {
     traced_run(42, 42, Some(Rc::clone(&rec)));
     let mut trace = rec.finish();
 
-    // Corrupt the pending-set hash of a mid-stream RoundEnd.
+    // Corrupt the pending-set hash of a mid-stream ShardRoundEnd.
     let rounds: Vec<usize> = trace
         .events()
         .iter()
         .enumerate()
-        .filter_map(|(i, e)| matches!(e, TraceEvent::RoundEnd { .. }).then_some(i))
+        .filter_map(|(i, e)| matches!(e, TraceEvent::ShardRoundEnd { .. }).then_some(i))
         .collect();
     assert!(rounds.len() >= 3, "need a few rounds to perturb the middle");
     let pos = rounds[rounds.len() / 2];
-    let TraceEvent::RoundEnd {
+    let TraceEvent::ShardRoundEnd {
+        shard,
         round,
         pending,
         index,
@@ -173,28 +174,25 @@ fn perturbed_round_hash_is_localized() {
     else {
         unreachable!()
     };
-    trace.events_mut()[pos] = TraceEvent::RoundEnd {
+    let corrupted = TraceEvent::ShardRoundEnd {
+        shard,
         round,
         pending: pending ^ 1,
         index,
         stats,
     };
+    trace.events_mut()[pos] = corrupted.clone();
 
     let rep = Tracer::replay(trace);
     traced_run(42, 42, Some(Rc::clone(&rep)));
     let d = rep.divergence().expect("perturbed hash must diverge");
     assert_eq!(d.pos, pos, "checker must stop at the corrupted event: {d}");
-    assert_eq!(d.round, round, "checker must name the corrupted round: {d}");
     assert_eq!(
-        d.expected,
-        Some(TraceEvent::RoundEnd {
-            round,
-            pending: pending ^ 1,
-            index,
-            stats
-        }),
-        "{d}"
+        (d.shard, d.round),
+        (shard, round),
+        "checker must name the corrupted round: {d}"
     );
+    assert_eq!(d.expected, Some(corrupted), "{d}");
 }
 
 /// Save/load round-trip through the wire format, end to end.
