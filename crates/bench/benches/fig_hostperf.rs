@@ -20,6 +20,13 @@
 //! - `overlap-move`   — `memmove` within one region (arena `copy_within`
 //!   vs. page-tiled moves).
 //!
+//! Simulator speed (DESIGN.md §19) — the performance a developer waits on:
+//! - `sim_advance_speedup` — host ns per uncontended `Core::advance` of
+//!   the task-driven reference core (`copier_bench::refcore`) over the
+//!   driverless core, as interleaved min-of-N pairs (bar ≥ 1.2×);
+//! - `idle_generation_ns` (unbarred) — host ns per idle generation of a
+//!   4-shard service spinning with nothing to do.
+//!
 //! Writes `BENCH_hostperf.json` at the repo root (host GB/s per layout
 //! plus suite wall-clock) — the seed point of the BENCH perf trajectory.
 //! Set `HOSTPERF_SMOKE=1` for a tiny, fast run (CI smoke).
@@ -28,8 +35,12 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use copier_bench::json::Json;
-use copier_bench::{kb, section};
+use copier_bench::refcore::ref_machine;
+use copier_bench::{kb, paired_min_ms, section};
+use copier_core::CopierConfig;
 use copier_mem::{frames_of, AddressSpace, AllocPolicy, PhysMem, Prot, VirtAddr, PAGE_SIZE};
+use copier_os::Os;
+use copier_sim::{Machine, Nanos, Sim};
 use copier_testkit::{black_box, Bench};
 
 /// One measured layout: fast vs. per-page GB/s over the same bytes.
@@ -234,6 +245,52 @@ fn run_overlapping(bench: &Bench, pages: usize) -> LayoutResult {
     }
 }
 
+/// One task making `n` uncontended 80 ns advances on core 0, on the
+/// reference or the driverless core.
+fn advance_loop(n: u64, reference: bool) {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let step = Nanos(80);
+    if reference {
+        let core = Rc::clone(&ref_machine(&h, 1)[0]);
+        sim.spawn("w", async move {
+            for _ in 0..n {
+                core.advance(step).await;
+            }
+        });
+    } else {
+        let core = Machine::new(&h, 1).core(0);
+        sim.spawn("w", async move {
+            for _ in 0..n {
+                core.advance(step).await;
+            }
+        });
+    }
+    black_box(sim.run());
+}
+
+/// Host ns per idle generation of a 4-shard service with no clients,
+/// over `virt` of virtual time (spins, parks and wake-ups included).
+fn idle_generation_ns(virt: Nanos) -> (f64, u64) {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let os = Os::boot(&h, Machine::new(&h, 4), 64);
+    let svc = os.install_copier(
+        os.machine.cores().to_vec(),
+        CopierConfig {
+            shards: 4,
+            ..Default::default()
+        },
+    );
+    let t0 = Instant::now();
+    sim.run_until(virt);
+    let ns = t0.elapsed().as_nanos() as f64;
+    let generations = svc.stats().idle_polls / 4;
+    svc.stop();
+    sim.run();
+    (ns / generations.max(1) as f64, generations)
+}
+
 fn main() {
     let smoke = std::env::var("HOSTPERF_SMOKE").is_ok_and(|v| v == "1");
     let bench = if smoke {
@@ -256,6 +313,25 @@ fn main() {
         run_gather(&bench, "gather-scattered", AllocPolicy::Scattered, depth, 4),
         run_overlapping(&bench, if smoke { 16 } else { 1024 }),
     ];
+    section("simulator speed (host wall clock)");
+    let advances: u64 = if smoke { 2_000 } else { 200_000 };
+    let (ref_ms, new_ms) = paired_min_ms(
+        if smoke { 3 } else { 15 },
+        || advance_loop(advances, true),
+        || advance_loop(advances, false),
+    );
+    let advance_speedup = ref_ms / new_ms;
+    println!(
+        "  uncontended advance: reference {:.1} ns, driverless {:.1} ns ({advance_speedup:.2}x)",
+        ref_ms * 1e6 / advances as f64,
+        new_ms * 1e6 / advances as f64,
+    );
+    let (gen_ns, generations) = idle_generation_ns(if smoke {
+        Nanos::from_millis(2)
+    } else {
+        Nanos::from_millis(200)
+    });
+    println!("  idle 4-shard generation: {gen_ns:.1} ns over {generations} generations");
     let suite_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     section("summary (GB/s, higher is better)");
@@ -275,6 +351,22 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
         ("depth_pages", Json::Int(depth as u64)),
         ("suite_ms", Json::Num(suite_ms)),
+        (
+            "sim",
+            Json::obj([
+                ("advances", Json::Int(advances)),
+                (
+                    "reference_ns_per_advance",
+                    Json::Num(ref_ms * 1e6 / advances as f64),
+                ),
+                (
+                    "driverless_ns_per_advance",
+                    Json::Num(new_ms * 1e6 / advances as f64),
+                ),
+                ("idle_generation_ns", Json::Num(gen_ns)),
+                ("idle_generations", Json::Int(generations)),
+            ]),
+        ),
         (
             "layouts",
             Json::Arr(
@@ -310,6 +402,12 @@ fn main() {
                             r.speedup(),
                         )
                     })
+                    .chain([Json::summary(
+                        "sim_advance_speedup",
+                        "speedup_min",
+                        1.2,
+                        advance_speedup,
+                    )])
                     .collect(),
             ),
         ),

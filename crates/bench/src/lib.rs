@@ -6,6 +6,7 @@
 //! paper-vs-measured for each.
 
 pub mod json;
+pub mod refcore;
 
 use copier_sim::Nanos;
 

@@ -17,7 +17,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::future::Future;
+use std::pin::{pin, Pin};
+use std::rc::{Rc, Weak};
+use std::task::{Context, Poll, Waker};
 
 use copier_hw::{
     slice_extents, split_subtasks, ATCache, CostModel, CpuCopyKind, DispatchReport, Dispatcher,
@@ -27,7 +30,7 @@ use copier_mem::{
     frames_of, AddressSpace, Extent, FrameId, MemError, PhysMem, VirtAddr, PAGE_SIZE,
 };
 use copier_sim::trace::{fnv_fold, TraceEvent, FNV_OFFSET};
-use copier_sim::{stream_seed, Core, CrashPoint, Nanos, Notify, SimHandle};
+use copier_sim::{stream_seed, Action, Core, CrashPoint, Nanos, Notify, NotifyWaiter, SimHandle};
 
 use crate::absorb::{self, AbsorbPlan};
 use crate::client::{Client, ClientId, PendEntry, QueueSet, TaintRange};
@@ -70,6 +73,69 @@ impl RoundScratch {
     }
 }
 
+/// One service thread's loop state, shared between the thread's task and
+/// the idle ticks that stand in for its polls (DESIGN.md §17).
+struct ThreadCtl {
+    t: usize,
+    /// Consecutive idle steps since the last generation with work (or
+    /// the last park).
+    idle_streak: Cell<u32>,
+    /// Per-shard round scratch, indexed by shard: client lists are
+    /// epoch-cached and the dispatch progress map is cleared, not
+    /// reallocated. A round's DMA callbacks all settle before
+    /// `execute_batch` returns, so reuse at the next round is safe. Taken
+    /// out while the thread runs its rounds; in place whenever a tick
+    /// stands in.
+    scratch: RefCell<Vec<RoundScratch>>,
+    /// The thread task's waker, captured while it awaits a tick.
+    waker: RefCell<Option<Waker>>,
+    tick: RefCell<Tick>,
+    /// The tick-completion action (built once per thread).
+    fire: Action,
+}
+
+/// An idle tick's state, as the thread task sees it.
+enum Tick {
+    /// No tick outstanding, or one still occupying the core.
+    Running,
+    /// The tick ended like the slice it replaces: the thread resumes
+    /// right after its idle step.
+    Done,
+    /// The tick stood in for the thread's whole next poll, up to its
+    /// arrival at barrier generation `gen`; the thread resumes in the
+    /// barrier wait once `waiter` fires.
+    AtBarrier { gen: u64, waiter: NotifyWaiter },
+}
+
+/// How an idle tick handed control back to its thread.
+enum TickEnd {
+    Slice,
+    Barrier(u64),
+}
+
+/// Future of an outstanding tick.
+struct TickWait<'a> {
+    ctl: &'a ThreadCtl,
+}
+
+impl Future for TickWait<'_> {
+    type Output = TickEnd;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<TickEnd> {
+        let ctl = self.ctl;
+        let mut tick = ctl.tick.borrow_mut();
+        let out = match &*tick {
+            Tick::Done => TickEnd::Slice,
+            Tick::AtBarrier { gen, waiter } if waiter.fired() => TickEnd::Barrier(*gen),
+            _ => {
+                *ctl.waker.borrow_mut() = Some(cx.waker().clone());
+                return Poll::Pending;
+            }
+        };
+        *tick = Tick::Running;
+        Poll::Ready(out)
+    }
+}
+
 /// Host-side control-plane cost observables (DESIGN.md §18) — how much
 /// per-round work the service actually did, exposed so the soak bench
 /// and the differential suite can prove O(active) scaling instead of
@@ -94,6 +160,11 @@ pub struct ControlObs {
     /// Per-client trace-hash contributions re-folded (dirty clients at a
     /// traced round close).
     pub hash_refolds: u64,
+    /// Idle ticks that applied their thread's next poll in place instead
+    /// of waking it (DESIGN.md §19).
+    pub idle_ticks: u64,
+    /// Idle generations credited in one step by a jump.
+    pub idle_skipped: u64,
 }
 
 #[derive(Default)]
@@ -104,6 +175,8 @@ struct ObsCells {
     minvr_recomputes: Cell<u64>,
     autoscale_calls: Cell<u64>,
     hash_refolds: Cell<u64>,
+    idle_ticks: Cell<u64>,
+    idle_skipped: Cell<u64>,
 }
 
 /// Aggregate service statistics.
@@ -346,6 +419,11 @@ pub struct Copier {
     next_reg: Cell<u64>,
     /// Control-plane cost observables (host-side, not in CopierStats).
     obs: ObsCells,
+    /// Service threads' loop state, indexed by thread.
+    threads: RefCell<Vec<Rc<ThreadCtl>>>,
+    /// Threads whose idle tick stood in for their arrival at the current
+    /// barrier generation, in arrival order.
+    barrier_ticked: RefCell<Vec<usize>>,
 }
 
 impl Copier {
@@ -436,6 +514,8 @@ impl Copier {
             assign_epoch: Cell::new(0),
             next_reg: Cell::new(0),
             obs: ObsCells::default(),
+            threads: RefCell::new(Vec::new()),
+            barrier_ticked: RefCell::new(Vec::new()),
         })
     }
 
@@ -513,6 +593,8 @@ impl Copier {
             minvr_recomputes: self.obs.minvr_recomputes.get(),
             autoscale_calls: self.obs.autoscale_calls.get(),
             hash_refolds: self.obs.hash_refolds.get(),
+            idle_ticks: self.obs.idle_ticks.get(),
+            idle_skipped: self.obs.idle_skipped.get(),
         }
     }
 
@@ -1010,12 +1092,44 @@ impl Copier {
     /// stay free for tenants.
     pub fn start(self: &Rc<Self>) {
         for t in 0..self.nshards() {
+            let me = Rc::downgrade(self);
+            let ctl = Rc::new(ThreadCtl {
+                t,
+                idle_streak: Cell::new(0),
+                scratch: RefCell::new((0..self.nshards()).map(|_| RoundScratch::new()).collect()),
+                waker: RefCell::new(None),
+                tick: RefCell::new(Tick::Running),
+                fire: Rc::new(move || {
+                    if let Some(me) = Weak::upgrade(&me) {
+                        me.on_tick(t);
+                    }
+                }),
+            });
+            self.threads.borrow_mut().push(Rc::clone(&ctl));
             let me = Rc::clone(self);
             self.h.spawn(
                 &format!("copier-{t}"),
-                async move { me.shard_loop(t).await },
+                async move { me.shard_loop(ctl).await },
             );
         }
+    }
+
+    /// `(spin_rounds, park_timeout)` of the idle spin.
+    fn spin_policy(&self) -> (u32, Nanos) {
+        match self.cfg.polling {
+            PollMode::Napi {
+                spin_rounds,
+                park_timeout,
+            } => (spin_rounds, park_timeout),
+            // Even inside an active scenario the thread sleeps when queues
+            // run empty (§6.2.4) — submissions call copier_awaken.
+            PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
+        }
+    }
+
+    /// Home shards of thread `t` at `k` active threads.
+    fn home_shards(&self, t: usize, k: usize) -> std::iter::StepBy<std::ops::Range<usize>> {
+        (t..self.nshards()).step_by(k)
     }
 
     /// Service thread `t` (DESIGN.md §17) — the one round loop, at every
@@ -1028,24 +1142,17 @@ impl Copier {
     /// g-1 — never a peer's mid-round state — which keeps runs
     /// bit-reproducible from a seed. At one shard the barrier releases
     /// at once and publishes nothing.
-    async fn shard_loop(self: Rc<Self>, t: usize) {
+    ///
+    /// The idle step — one `poll_idle` of core time after a generation in
+    /// which no shard did work — is a real advance the first time in a
+    /// spin and an *idle tick* from the second on: a core request whose
+    /// completion runs [`Self::on_tick`] instead of waking the task, and
+    /// which applies the thread's next poll in place when it is provably
+    /// idle.
+    async fn shard_loop(self: Rc<Self>, ctl: Rc<ThreadCtl>) {
+        let t = ctl.t;
         let core = Rc::clone(&self.cores[t]);
-        let (spin_rounds, park_timeout) = match self.cfg.polling {
-            PollMode::Napi {
-                spin_rounds,
-                park_timeout,
-            } => (spin_rounds, park_timeout),
-            // Even inside an active scenario the thread sleeps when queues
-            // run empty (§6.2.4) — submissions call copier_awaken.
-            PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
-        };
-        let mut idle_streak = 0u32;
-        // Per-shard round scratch: client lists are epoch-cached and the
-        // dispatch progress map is cleared, not reallocated. A round's DMA
-        // callbacks all settle before `execute_batch` returns, so reuse at
-        // the next round is safe.
-        let mut scratch: Vec<RoundScratch> =
-            (0..self.nshards()).map(|_| RoundScratch::new()).collect();
+        let (spin_rounds, park_timeout) = self.spin_policy();
         loop {
             if self.stopping.get() {
                 // Closing memory checkpoint: the trace ends with a full
@@ -1083,7 +1190,8 @@ impl Copier {
                 continue;
             }
             let mut did = false;
-            for h in (t..self.nshards()).step_by(self.active_threads.get()) {
+            let mut scratch = std::mem::take(&mut *ctl.scratch.borrow_mut());
+            for h in self.home_shards(t, self.active_threads.get()) {
                 if self.stopping.get() {
                     break;
                 }
@@ -1092,26 +1200,331 @@ impl Copier {
                     self.stats.borrow_mut().busy_rounds += 1;
                 }
             }
-            if self.barrier_round(did).await {
-                // Some shard did work this generation: every thread keeps
-                // polling hot — idleness is a barrier-agreed global fact,
-                // never a local guess, so threads spin down (and park) in
-                // lockstep.
-                idle_streak = 0;
-                continue;
-            }
-            self.stats.borrow_mut().idle_polls += 1;
-            core.advance(self.cost.poll_idle).await;
-            idle_streak += 1;
-            if idle_streak > spin_rounds {
-                self.parked.set(self.parked.get() + 1);
-                let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
-                self.parked.set(self.parked.get() - 1);
-                if notified {
-                    // Kthread wakeup latency before the next sweep.
-                    core.advance(self.cfg.wake_latency).await;
+            *ctl.scratch.borrow_mut() = scratch;
+            let mut any = self.barrier_round(did).await;
+            loop {
+                if any {
+                    // Some shard did work this generation: every thread
+                    // keeps polling hot — idleness is a barrier-agreed
+                    // global fact, never a local guess, so threads spin
+                    // down (and park) in lockstep.
+                    ctl.idle_streak.set(0);
+                    break;
                 }
-                idle_streak = 0;
+                self.stats.borrow_mut().idle_polls += 1;
+                if ctl.idle_streak.get() == 0 || self.cost.poll_idle == Nanos::ZERO {
+                    core.advance(self.cost.poll_idle).await;
+                } else {
+                    *ctl.tick.borrow_mut() = Tick::Running;
+                    core.advance_then(self.cost.poll_idle, Rc::clone(&ctl.fire));
+                    if let TickEnd::Barrier(gen) = (TickWait { ctl: &ctl }).await {
+                        // The tick ran this thread's rounds and barrier
+                        // arrival; resume in the barrier wait.
+                        any = self.barrier_released(gen).await;
+                        continue;
+                    }
+                }
+                let streak = ctl.idle_streak.get() + 1;
+                ctl.idle_streak.set(streak);
+                if streak > spin_rounds {
+                    self.parked.set(self.parked.get() + 1);
+                    let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
+                    self.parked.set(self.parked.get() - 1);
+                    if notified {
+                        // Kthread wakeup latency before the next sweep.
+                        core.advance(self.cfg.wake_latency).await;
+                    }
+                    ctl.idle_streak.set(0);
+                }
+                break;
+            }
+        }
+    }
+
+    /// Completion of thread `t`'s idle tick, at the instant its slice
+    /// ends. If the thread's next poll is provably idle (see
+    /// [`Self::tick_elidable`]) the tick applies that poll in place —
+    /// the idle-step tail, the idle rounds of its home shards, run
+    /// through the real round code, and its barrier arrival — and the
+    /// thread task is not polled. Otherwise the thread wakes exactly as
+    /// the slice would have woken it.
+    ///
+    /// The generation's last tick also releases the barrier in place and
+    /// starts every member's next tick at once, in the order their start
+    /// steps would have taken (last arriver first, then arrival order):
+    /// had the last arriver been woken, the drain phase after this pop
+    /// would hold only those members, so no other timer can interleave.
+    fn on_tick(self: &Rc<Self>, t: usize) {
+        let ctl = Rc::clone(&self.threads.borrow()[t]);
+        if !self.tick_elidable(&ctl) {
+            *ctl.tick.borrow_mut() = Tick::Done;
+            if let Some(w) = ctl.waker.borrow().as_ref() {
+                w.wake_by_ref();
+            }
+            return;
+        }
+        bump(&self.obs.idle_ticks);
+        ctl.idle_streak.set(ctl.idle_streak.get() + 1);
+        let core = Rc::clone(&self.cores[t]);
+        {
+            let mut scratch = ctl.scratch.borrow_mut();
+            let mut cx = Context::from_waker(Waker::noop());
+            for h in self.home_shards(t, self.active_threads.get()) {
+                let round = pin!(self.round(h, &core, &mut scratch[h]));
+                match round.poll(&mut cx) {
+                    Poll::Ready(did) => assert!(!did, "an elided idle round did work"),
+                    Poll::Pending => panic!("an elided idle round awaited"),
+                }
+            }
+        }
+        let generation = self.barrier_gen.get();
+        let arrived = self.barrier_arrived.get() + 1;
+        if arrived < self.active_threads.get() {
+            self.barrier_arrived.set(arrived);
+            // As the barrier wait's loop would: stored permits are
+            // consumed (the loop re-checks and waits again), then a
+            // waiter is queued.
+            let waker = ctl
+                .waker
+                .borrow()
+                .clone()
+                .expect("tick without a waiting task");
+            let waiter = loop {
+                let w = self.barrier_wake.register_waker(waker.clone());
+                if !w.fired() {
+                    break w;
+                }
+            };
+            *ctl.tick.borrow_mut() = Tick::AtBarrier {
+                gen: generation,
+                waiter,
+            };
+            self.barrier_ticked.borrow_mut().push(t);
+            return;
+        }
+        // Last arriver: release in place. `tick_elidable` checked that no
+        // shard did work, that every other member arrived by tick, and
+        // that auto-scaling keeps `k`.
+        self.barrier_arrived.set(0);
+        self.exchange();
+        if self.cfg.auto_scale {
+            self.autoscale();
+        }
+        self.barrier_any.set(false);
+        self.barrier_acc.set(false);
+        self.barrier_gen.set(generation + 1);
+        let threads = self.threads.borrow();
+        let mut order = vec![t];
+        for m in self.barrier_ticked.borrow_mut().drain(..) {
+            if let Tick::AtBarrier { waiter, .. } = &*threads[m].tick.borrow() {
+                self.barrier_wake.withdraw(waiter);
+            }
+            order.push(m);
+        }
+        let reps = self.idle_jump(&order, &threads);
+        // Every member's start step, in release order: `idle_polls` and
+        // the next tick, which after a jump of `reps - 1` generations
+        // finds the release order rotated by that many places.
+        let k = order.len();
+        order.rotate_right((reps as usize - 1) % k);
+        self.stats.borrow_mut().idle_polls += reps * k as u64;
+        for m in order {
+            let ctl = &threads[m];
+            *ctl.tick.borrow_mut() = Tick::Running;
+            self.cores[m].occupy_then(self.cost.poll_idle, reps, Rc::clone(&ctl.fire));
+        }
+    }
+
+    /// Whether thread `t`'s next poll, at its tick's end, is *provably
+    /// idle*: it would neither park nor exit, its rounds would find no
+    /// work, and — for the generation's last arriver — the barrier would
+    /// release a generation in which nothing happened, with the same
+    /// thread count and every member free to start its next tick. Only
+    /// state is consulted, never history, so any foreign event since the
+    /// tick began (a doorbell, a stop, a crash, a scenario switch, a
+    /// request queued on the core) is seen directly.
+    fn tick_elidable(&self, ctl: &ThreadCtl) -> bool {
+        let t = ctl.t;
+        let k = self.active_threads.get();
+        let (spin_rounds, _) = self.spin_policy();
+        if ctl.idle_streak.get() >= spin_rounds
+            || self.stopping.get()
+            || t >= k
+            || (self.cfg.polling == PollMode::ScenarioDriven && !self.scenario_active.get())
+            || !self.cores[t].is_idle()
+        {
+            return false;
+        }
+        let now = self.h.now();
+        if !self.home_shards(t, k).all(|h| self.shard_idle(h, now)) {
+            return false;
+        }
+        if self.barrier_arrived.get() + 1 < k {
+            return true;
+        }
+        // Members restart their ticks at once, so each needs an idle
+        // core of its own.
+        let ticked = self.barrier_ticked.borrow();
+        let core = |m: usize| &self.cores[m];
+        !self.barrier_acc.get()
+            && ticked.len() == k - 1
+            && ticked.iter().enumerate().all(|(i, &m)| {
+                core(m).is_idle()
+                    && !Rc::ptr_eq(core(m), core(t))
+                    && ticked[..i].iter().all(|&o| !Rc::ptr_eq(core(m), core(o)))
+            })
+            && (!self.cfg.auto_scale || self.autoscale_target() == k)
+    }
+
+    /// Whether a round of shard `h` at `now` would find nothing to do:
+    /// no active client has queued or runnable work, and no scrub walk
+    /// falls due. Such a round's only effects are its unconditional ones
+    /// (counters, round number, trace hooks, the rot draw, the scrub tick,
+    /// active-set upkeep).
+    fn shard_idle(&self, h: usize, now: Nanos) -> bool {
+        if h == 0 && self.scrub_due_in().is_some_and(|n| n <= 1) {
+            return false;
+        }
+        self.shards[h]
+            .active
+            .borrow()
+            .values()
+            .all(|c| !c.has_work(now, self.cfg.lazy_period))
+    }
+
+    /// Shard-0 rounds until the next scrub walk, counting the one that
+    /// walks (`None` when scrubbing is off).
+    fn scrub_due_in(&self) -> Option<u64> {
+        let p = self.cfg.scrub_period;
+        (p > 0 && !self.scrub.borrow().is_empty()).then(|| p - self.scrub_tick.get() % p)
+    }
+
+    /// How many idle generations the releasing tick may cover, counting
+    /// the next one: `reps - 1` whole generations are skipped and
+    /// credited in one step, and the members' next ticks end `reps`
+    /// poll periods from now. A skip never reaches the next pending
+    /// kernel event, the `run_until` deadline, a member's spin-budget
+    /// end, a due scrub walk, or the earliest lazy or deferred expiry, so
+    /// every skipped generation would have been elided pop by pop, with
+    /// nothing interleaved. No jump while rot draws are enabled (each
+    /// round draws), or while any member's next rounds would still
+    /// rebuild their client lists.
+    fn idle_jump(&self, order: &[usize], threads: &[Rc<ThreadCtl>]) -> u64 {
+        let p = self.cost.poll_idle.as_nanos();
+        let now = self.h.now().as_nanos();
+        let limit = self
+            .h
+            .next_event_time()
+            .map_or(u64::MAX, |e| e.as_nanos())
+            .min(self.h.run_deadline().as_nanos());
+        if limit < now.saturating_add(2 * p)
+            || self
+                .cfg
+                .fault_plan
+                .as_ref()
+                .is_some_and(|f| f.config().rot_prob > 0.0)
+        {
+            return 1;
+        }
+        let k = order.len();
+        let ep = self.assign_epoch.get();
+        for &m in order {
+            if self.cores[m].quantum() < self.cost.poll_idle {
+                return 1;
+            }
+            let Ok(scratch) = threads[m].scratch.try_borrow() else {
+                return 1;
+            };
+            if self
+                .home_shards(m, k)
+                .any(|h| scratch.get(h).is_none_or(|s| s.epoch != ep))
+            {
+                return 1;
+            }
+        }
+        let (spin_rounds, _) = self.spin_policy();
+        let streak = order
+            .iter()
+            .map(|&m| threads[m].idle_streak.get())
+            .max()
+            .unwrap_or(0);
+        let mut skip = (limit - now) / p - 1;
+        skip = skip.min(u64::from(spin_rounds.saturating_sub(streak)));
+        if let Some(n) = self.scrub_due_in() {
+            skip = skip.min(n - 1);
+        }
+        if let Some(horizon) = self.work_horizon(Nanos(now)) {
+            skip = skip.min((horizon.as_nanos() - now - 1) / p);
+        }
+        if skip > 0 {
+            self.credit_idle_generations(order, threads, skip);
+        }
+        skip + 1
+    }
+
+    /// The earliest instant after `now` at which an active client's
+    /// window entry can become runnable by the clock alone: a lazy
+    /// entry's expiry or a deferred obligation's. `None` if there is none.
+    fn work_horizon(&self, now: Nanos) -> Option<Nanos> {
+        let mut horizon: Option<Nanos> = None;
+        for sh in &self.shards {
+            for c in sh.active.borrow().values() {
+                let mut si = 0;
+                while let Some(set) = c.set_at(si) {
+                    si += 1;
+                    for e in set.pending.borrow().iter().filter(|e| !e.finished()) {
+                        let lazy = e.task.lazy.then(|| e.submitted_at + self.cfg.lazy_period);
+                        for at in [lazy, Some(e.defer_until.get())].into_iter().flatten() {
+                            if at > now && horizon.is_none_or(|h| at < h) {
+                                horizon = Some(at);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        horizon
+    }
+
+    /// Credits `skip` whole idle generations after the current release
+    /// (members listed in its release order): what each of their ticks,
+    /// rounds and barrier releases would have changed, in one step. The
+    /// members' busy time is credited by their next ticks.
+    fn credit_idle_generations(&self, order: &[usize], threads: &[Rc<ThreadCtl>], skip: u64) {
+        let (k, n) = (order.len(), self.nshards());
+        for &m in order {
+            let ctl = &threads[m];
+            ctl.idle_streak.set(ctl.idle_streak.get() + skip as u32);
+        }
+        self.stats.borrow_mut().rounds_settled += n as u64 * skip;
+        self.obs
+            .idle_skipped
+            .set(self.obs.idle_skipped.get() + skip);
+        if self.scrub_due_in().is_some() {
+            self.scrub_tick.set(self.scrub_tick.get() + skip);
+        }
+        if self.cfg.auto_scale {
+            self.obs
+                .autoscale_calls
+                .set(self.obs.autoscale_calls.get() + skip);
+        }
+        self.barrier_gen.set(self.barrier_gen.get() + skip);
+        if let Some(tracer) = &self.cfg.tracer {
+            for sh in &self.shards {
+                sh.round_no.set(sh.round_no.get() + skip);
+            }
+            // Leave the tracer as the last skipped generation's rounds
+            // would: its pops ran in the release order rotated by
+            // `skip - 1`.
+            let mut last = order.to_vec();
+            last.rotate_right((skip as usize - 1) % k);
+            let now = self.h.now().as_nanos();
+            for m in last {
+                for h in self.home_shards(m, k) {
+                    let round = self.shards[h].round_no.get();
+                    tracer.begin_shard_round(h as u32, round, now);
+                    tracer.end_shard_round(h as u32, || unreachable!("an idle round emitted"));
+                }
             }
         }
     }
@@ -1141,15 +1554,25 @@ impl Copier {
             self.barrier_any.set(self.barrier_acc.get());
             self.barrier_acc.set(false);
             self.barrier_gen.set(generation + 1);
+            // Members whose ticks stood in for their arrival wait on
+            // `barrier_wake` like the rest and wake with them.
+            self.barrier_ticked.borrow_mut().clear();
             self.barrier_wake.notify_all();
+            self.barrier_any.get()
         } else {
             self.barrier_arrived.set(arrived);
-            // The check-then-await is race-free on the cooperative
-            // single-threaded host: no other task runs between the
-            // condition read and the waker registration.
-            while self.barrier_gen.get() == generation && !self.stopping.get() {
-                self.barrier_wake.notified().await;
-            }
+            self.barrier_released(generation).await
+        }
+    }
+
+    /// A non-last arriver's wait for the release of barrier generation
+    /// `generation` (or a stop); returns the generation's `did_work` OR.
+    /// The check-then-await is race-free on the cooperative
+    /// single-threaded host: no other task runs between the condition
+    /// read and the waker registration.
+    async fn barrier_released(&self, generation: u64) -> bool {
+        while self.barrier_gen.get() == generation && !self.stopping.get() {
+            self.barrier_wake.notified().await;
         }
         self.barrier_any.get()
     }
@@ -1194,12 +1617,19 @@ impl Copier {
         self.obs
             .autoscale_calls
             .set(self.obs.autoscale_calls.get() + 1);
+        self.active_threads.set(self.autoscale_target());
+    }
+
+    /// The thread count [`Self::autoscale`] would decide now.
+    fn autoscale_target(&self) -> usize {
         let load: u64 = self.shards.iter().map(|s| s.pending.get()).sum();
         let active = self.active_threads.get();
         if load > self.cfg.high_load as u64 && active < self.nshards() {
-            self.active_threads.set(active + 1);
+            active + 1
         } else if load < self.cfg.low_load as u64 && active > 1 {
-            self.active_threads.set(active - 1);
+            active - 1
+        } else {
+            active
         }
     }
 

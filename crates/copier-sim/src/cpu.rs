@@ -9,12 +9,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::Waker;
 
 use crate::cache::CacheModel;
-use crate::exec::SimHandle;
-use crate::sync::Notify;
+use crate::exec::{Action, SimHandle};
 use crate::time::Nanos;
 
 /// Default round-robin quantum for contended cores.
@@ -24,21 +23,72 @@ struct Req {
     remaining: Cell<u64>,
     done: Cell<bool>,
     waker: RefCell<Option<Waker>>,
+    /// Runs at completion instead of a task wake-up.
+    then: Option<Action>,
+}
+
+/// Where the core's round-robin server stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Nothing queued or running.
+    Idle,
+    /// Its start step is queued on the ready queue (first step, or woken
+    /// by a request).
+    Starting,
+    /// A slice is running; its end is a timer action.
+    Running,
 }
 
 /// One simulated CPU core.
+///
+/// The round-robin server is *driverless* (DESIGN.md §19): no task polls
+/// on the core's behalf. Its steps are kernel actions placed exactly
+/// where a driver task's polls would sit — the start step on the ready
+/// queue where the woken driver would be, the slice end as the slice's
+/// timer — so the schedule is the one a driver task would produce.
 pub struct Core {
     id: usize,
     h: SimHandle,
     queue: RefCell<VecDeque<Rc<Req>>>,
-    work: Notify,
+    /// The request in its current slice, and the slice length.
+    current: RefCell<Option<(Rc<Req>, u64)>>,
+    phase: Cell<Phase>,
     quantum: Cell<Nanos>,
     busy: Cell<u64>,
+    /// The start step and the slice end, built once.
+    start: Action,
+    slice_end: Action,
     /// Cache-residency model for the micro-architectural proxy experiment.
     pub cache: CacheModel,
 }
 
 impl Core {
+    fn new(id: usize, h: &SimHandle) -> Rc<Self> {
+        Rc::new_cyclic(|me: &Weak<Core>| {
+            let (a, b) = (me.clone(), me.clone());
+            Core {
+                id,
+                h: h.clone(),
+                queue: RefCell::new(VecDeque::new()),
+                current: RefCell::new(None),
+                phase: Cell::new(Phase::Starting),
+                quantum: Cell::new(DEFAULT_QUANTUM),
+                busy: Cell::new(0),
+                start: Rc::new(move || {
+                    if let Some(core) = a.upgrade() {
+                        core.start_next();
+                    }
+                }),
+                slice_end: Rc::new(move || {
+                    if let Some(core) = b.upgrade() {
+                        core.end_slice();
+                    }
+                }),
+                cache: CacheModel::default_enabled(false),
+            }
+        })
+    }
+
     /// The core's index within its machine.
     pub fn id(&self) -> usize {
         self.id
@@ -54,9 +104,19 @@ impl Core {
         self.quantum.set(q);
     }
 
+    /// The round-robin quantum.
+    pub fn quantum(&self) -> Nanos {
+        self.quantum.get()
+    }
+
     /// Number of threads currently queued or running on this core.
     pub fn load(&self) -> usize {
         self.queue.borrow().len()
+    }
+
+    /// Whether nothing is queued or running on this core.
+    pub fn is_idle(&self) -> bool {
+        self.phase.get() == Phase::Idle
     }
 
     /// Consumes `dur` of this core's time, waiting in line if contended.
@@ -67,14 +127,42 @@ impl Core {
         if dur == Nanos::ZERO {
             return;
         }
-        let req = Rc::new(Req {
-            remaining: Cell::new(dur.as_nanos()),
-            done: Cell::new(false),
-            waker: RefCell::new(None),
-        });
-        self.queue.borrow_mut().push_back(Rc::clone(&req));
-        self.work.notify_one();
+        let req = self.enqueue(dur, None);
         ReqDone { req }.await;
+    }
+
+    /// Consumes `dur` of this core's time like [`Core::advance`] — queued,
+    /// started and sliced identically — and runs `then` when it is done,
+    /// instead of waking a task. A zero `dur` runs `then` at once.
+    pub fn advance_then(self: &Rc<Self>, dur: Nanos, then: Action) {
+        if dur == Nanos::ZERO {
+            then();
+            return;
+        }
+        self.enqueue(dur, Some(then));
+    }
+
+    /// Starts `reps` back-to-back requests of `dur` on this idle core at
+    /// once, accounting the first `reps - 1` as already executed and
+    /// running `then` when the last one ends, `reps × dur` from now.
+    ///
+    /// This is [`Core::advance_then`] with its start step taken *now*
+    /// instead of at a deferred position. The caller guarantees that the
+    /// two are indistinguishable — no other timer is registered between
+    /// here and where the start step would have run — and, for
+    /// `reps > 1`, that nothing else touches the core or reads its busy
+    /// time before the last request ends.
+    pub fn occupy_then(self: &Rc<Self>, dur: Nanos, reps: u64, then: Action) {
+        assert!(self.is_idle(), "occupy_then on a busy core");
+        assert!(dur > Nanos::ZERO && reps > 0);
+        assert!(
+            reps == 1 || dur <= self.quantum.get(),
+            "repeated requests must fit one quantum"
+        );
+        self.busy.set(self.busy.get() + (reps - 1) * dur.as_nanos());
+        let req = self.new_req(dur, Some(then));
+        let lead = (reps - 1) * dur.as_nanos();
+        self.run_slice(req, lead);
     }
 
     /// Consumes core time inflated by the cache model and updates residency.
@@ -86,31 +174,73 @@ impl Core {
         self.advance(inflated).await;
     }
 
-    /// The driver loop: serves queued demands round-robin.
-    async fn drive(self: Rc<Self>) {
-        loop {
-            let next = self.queue.borrow_mut().pop_front();
-            let req = match next {
-                Some(r) => r,
-                None => {
-                    self.work.notified().await;
-                    continue;
-                }
-            };
-            let remaining = req.remaining.get();
-            let slice = remaining.min(self.quantum.get().as_nanos().max(1));
-            self.h.sleep(Nanos(slice)).await;
-            self.busy.set(self.busy.get() + slice);
-            let left = remaining - slice;
-            req.remaining.set(left);
-            if left == 0 {
-                req.done.set(true);
-                if let Some(w) = req.waker.borrow_mut().take() {
-                    w.wake();
-                }
-            } else {
-                self.queue.borrow_mut().push_back(req);
-            }
+    fn new_req(&self, dur: Nanos, then: Option<Action>) -> Rc<Req> {
+        Rc::new(Req {
+            remaining: Cell::new(dur.as_nanos()),
+            done: Cell::new(false),
+            waker: RefCell::new(None),
+            then,
+        })
+    }
+
+    fn enqueue(&self, dur: Nanos, then: Option<Action>) -> Rc<Req> {
+        let req = self.new_req(dur, then);
+        self.queue.borrow_mut().push_back(Rc::clone(&req));
+        if self.phase.get() == Phase::Idle {
+            // Where a parked driver task would be woken.
+            self.phase.set(Phase::Starting);
+            self.h.defer(Rc::clone(&self.start));
+        }
+        req
+    }
+
+    /// The server's loop head: serve the next queued request, or go idle.
+    fn start_next(&self) {
+        let next = self.queue.borrow_mut().pop_front();
+        match next {
+            Some(req) => self.run_slice(req, 0),
+            None => self.phase.set(Phase::Idle),
+        }
+    }
+
+    /// Runs one slice of `req`, ending `lead` + slice from now.
+    fn run_slice(&self, req: Rc<Req>, lead: u64) {
+        let slice = req
+            .remaining
+            .get()
+            .min(self.quantum.get().as_nanos().max(1));
+        *self.current.borrow_mut() = Some((req, slice));
+        self.phase.set(Phase::Running);
+        let end = Nanos(self.h.now().as_nanos() + lead + slice);
+        self.h.at(end, Rc::clone(&self.slice_end));
+    }
+
+    /// A slice ended: account it, requeue or complete its request, and
+    /// start the next slice. The completion (a task wake-up or an action)
+    /// runs last, so an action finds the core already idle when nothing
+    /// else was queued; a wake-up touches only the ready queue, so its
+    /// order against the next slice's timer is immaterial.
+    fn end_slice(&self) {
+        let (req, slice) = self
+            .current
+            .borrow_mut()
+            .take()
+            .expect("slice end without a running request");
+        self.busy.set(self.busy.get() + slice);
+        let left = req.remaining.get() - slice;
+        req.remaining.set(left);
+        if left > 0 {
+            self.queue.borrow_mut().push_back(req);
+            self.start_next();
+            return;
+        }
+        req.done.set(true);
+        self.start_next();
+        if let Some(w) = req.waker.borrow_mut().take() {
+            w.wake();
+        }
+        if let Some(then) = &req.then {
+            then();
         }
     }
 }
@@ -160,21 +290,15 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine with `n` cores and spawns their driver tasks.
+    /// Builds a machine with `n` cores. Each core's first server step is
+    /// queued now, where a driver task spawned here would first run, so
+    /// requests made before that step start at that point.
     pub fn new(h: &SimHandle, n: usize) -> Rc<Self> {
         assert!(n > 0, "a machine needs at least one core");
         let mut cores = Vec::with_capacity(n);
         for id in 0..n {
-            let core = Rc::new(Core {
-                id,
-                h: h.clone(),
-                queue: RefCell::new(VecDeque::new()),
-                work: Notify::new(),
-                quantum: Cell::new(DEFAULT_QUANTUM),
-                busy: Cell::new(0),
-                cache: CacheModel::default_enabled(false),
-            });
-            h.spawn(&format!("core-{id}"), Rc::clone(&core).drive());
+            let core = Core::new(id, h);
+            h.defer(Rc::clone(&core.start));
             cores.push(core);
         }
         Rc::new(Machine {

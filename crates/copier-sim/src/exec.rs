@@ -10,6 +10,14 @@
 //! * a monotonic sequence number breaking ties between equal-time timers.
 //!
 //! Simulated "threads" are ordinary futures spawned with [`SimHandle::spawn`].
+//!
+//! Besides tasks the kernel runs *actions*: closures scheduled either as a
+//! ready-queue entry (`SimHandle::defer`, run in FIFO order among task
+//! polls) or as a timer entry (`SimHandle::at`, run when the timer
+//! pops). An action occupies exactly the queue or heap slot a task wake-up
+//! would, so replacing "wake a task whose next step is X" by "run X" keeps
+//! the schedule — and every sequence number — unchanged, without the
+//! task's poll (DESIGN.md §19).
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -26,7 +34,15 @@ use crate::time::Nanos;
 /// Identifies a spawned task within one simulation.
 pub type TaskId = usize;
 
+/// A closure the kernel runs in place of a task poll.
+pub type Action = Rc<dyn Fn()>;
+
+/// Ready-queue marker for "run the next deferred action".
+const ACTION: usize = usize::MAX;
+
 /// The shared ready queue, written by wakers (which must be `Send + Sync`).
+/// Holds task ids and [`ACTION`] markers; the actions themselves wait in
+/// [`Kernel::actions`] in the same FIFO order.
 struct ReadyQueue {
     queue: Mutex<VecDeque<TaskId>>,
 }
@@ -47,16 +63,24 @@ type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct TaskSlot {
     future: Option<BoxFuture>,
+    /// The task's waker, built once at spawn.
+    waker: Waker,
     /// Human-readable label used for debugging and trace output.
     name: String,
     /// Set once the future completes; the slot is then recycled.
     done: bool,
 }
 
+/// What a popped timer does: wake a task or run an action.
+enum Fire {
+    Wake(Waker),
+    Run(Action),
+}
+
 struct TimerEntry {
     when: Nanos,
     seq: u64,
-    waker: Waker,
+    fire: Fire,
 }
 
 impl PartialEq for TimerEntry {
@@ -81,8 +105,12 @@ pub(crate) struct Kernel {
     tasks: RefCell<Vec<Option<TaskSlot>>>,
     free: RefCell<Vec<TaskId>>,
     ready: Arc<ReadyQueue>,
+    /// Deferred actions, one per [`ACTION`] marker in the ready queue.
+    actions: RefCell<VecDeque<Action>>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     now: Cell<Nanos>,
+    /// Deadline of the `run_until` in progress.
+    deadline: Cell<Nanos>,
     seq: Cell<u64>,
     live_tasks: Cell<usize>,
     /// Total tasks ever spawned, for statistics.
@@ -97,8 +125,10 @@ impl Kernel {
             ready: Arc::new(ReadyQueue {
                 queue: Mutex::new(VecDeque::new()),
             }),
+            actions: RefCell::new(VecDeque::new()),
             timers: RefCell::new(BinaryHeap::new()),
             now: Cell::new(Nanos::ZERO),
+            deadline: Cell::new(Nanos(u64::MAX)),
             seq: Cell::new(0),
             live_tasks: Cell::new(0),
             spawned: Cell::new(0),
@@ -111,29 +141,47 @@ impl Kernel {
         s
     }
 
-    fn register_timer(&self, when: Nanos, waker: Waker) {
+    fn register(&self, when: Nanos, fire: Fire) {
         debug_assert!(when >= self.now.get(), "timer scheduled in the past");
         self.timers.borrow_mut().push(Reverse(TimerEntry {
             when,
             seq: self.next_seq(),
-            waker,
+            fire,
         }));
     }
 
+    fn register_timer(&self, when: Nanos, waker: Waker) {
+        self.register(when, Fire::Wake(waker));
+    }
+
+    fn defer(&self, action: Action) {
+        self.actions.borrow_mut().push_back(action);
+        self.ready
+            .queue
+            .lock()
+            .expect("ready queue lock poisoned")
+            .push_back(ACTION);
+    }
+
     fn spawn_boxed(&self, name: &str, fut: BoxFuture) -> TaskId {
+        let mut free = self.free.borrow_mut();
+        let mut tasks = self.tasks.borrow_mut();
+        let id = free.pop().unwrap_or(tasks.len());
         let slot = TaskSlot {
             future: Some(fut),
+            waker: Waker::from(Arc::new(TaskWaker {
+                id,
+                ready: Arc::clone(&self.ready),
+            })),
             name: name.to_string(),
             done: false,
         };
-        let id = if let Some(id) = self.free.borrow_mut().pop() {
-            self.tasks.borrow_mut()[id] = Some(slot);
-            id
-        } else {
-            let mut tasks = self.tasks.borrow_mut();
+        if id == tasks.len() {
             tasks.push(Some(slot));
-            tasks.len() - 1
-        };
+        } else {
+            tasks[id] = Some(slot);
+        }
+        drop((free, tasks));
         self.live_tasks.set(self.live_tasks.get() + 1);
         self.spawned.set(self.spawned.get() + 1);
         self.ready.queue.lock().unwrap().push_back(id);
@@ -144,11 +192,11 @@ impl Kernel {
     fn poll_task(self: &Rc<Self>, id: TaskId) -> bool {
         // Take the future out of the slot so the task may re-borrow the
         // kernel (spawn, timers) while being polled.
-        let mut fut = {
+        let (mut fut, waker) = {
             let mut tasks = self.tasks.borrow_mut();
             match tasks.get_mut(id).and_then(|s| s.as_mut()) {
                 Some(slot) if !slot.done => match slot.future.take() {
-                    Some(f) => f,
+                    Some(f) => (f, slot.waker.clone()),
                     // Already being polled higher up the stack (cannot
                     // happen with a single-threaded driver) or spurious.
                     None => return false,
@@ -156,10 +204,6 @@ impl Kernel {
                 _ => return false,
             }
         };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.ready),
-        }));
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
@@ -247,11 +291,18 @@ impl Sim {
 
     /// Runs until the given virtual deadline (exclusive for timers beyond it).
     pub fn run_until(&mut self, deadline: Nanos) -> Nanos {
+        self.kernel.deadline.set(deadline);
         loop {
             // Drain everything runnable at the current instant.
             loop {
                 let next = self.kernel.ready.queue.lock().unwrap().pop_front();
                 match next {
+                    Some(ACTION) => {
+                        let action = self.kernel.actions.borrow_mut().pop_front();
+                        if let Some(action) = action {
+                            action();
+                        }
+                    }
                     Some(id) => {
                         self.kernel.poll_task(id);
                     }
@@ -270,7 +321,10 @@ impl Sim {
                 Some(e) => {
                     debug_assert!(e.when >= self.kernel.now.get());
                     self.kernel.now.set(e.when);
-                    e.waker.wake();
+                    match e.fire {
+                        Fire::Wake(w) => w.wake(),
+                        Fire::Run(action) => action(),
+                    }
                 }
                 None => break,
             }
@@ -297,6 +351,29 @@ impl Sim {
             .flatten()
             .map(|t| t.name.clone())
             .collect()
+    }
+}
+
+impl Drop for Sim {
+    /// Frees the simulated program. Task futures, timers and deferred
+    /// actions hold `Rc`s back into the kernel (through their handles)
+    /// and into whatever the program built, so without this a finished
+    /// simulation would keep itself alive. They are moved out before
+    /// being dropped: a destructor may touch the kernel.
+    fn drop(&mut self) {
+        loop {
+            let tasks = std::mem::take(&mut *self.kernel.tasks.borrow_mut());
+            let timers = std::mem::take(&mut *self.kernel.timers.borrow_mut());
+            let actions = std::mem::take(&mut *self.kernel.actions.borrow_mut());
+            if tasks.is_empty() && timers.is_empty() && actions.is_empty() {
+                break;
+            }
+            drop((tasks, timers, actions));
+        }
+        if let Ok(mut ready) = self.kernel.ready.queue.lock() {
+            ready.clear();
+        }
+        self.kernel.free.borrow_mut().clear();
     }
 }
 
@@ -360,6 +437,35 @@ impl SimHandle {
 
     pub(crate) fn register_timer(&self, when: Nanos, waker: Waker) {
         self.kernel.register_timer(when, waker);
+    }
+
+    /// Queues `action` on the ready queue: it runs in FIFO order with the
+    /// task polls around it, at the current instant.
+    pub(crate) fn defer(&self, action: Action) {
+        self.kernel.defer(action);
+    }
+
+    /// Registers a timer that runs `action` when it pops at `when`,
+    /// ordered against every other timer by `(when, registration order)`.
+    pub(crate) fn at(&self, when: Nanos, action: Action) {
+        self.kernel.register(when, Fire::Run(action));
+    }
+
+    /// The earliest instant at which anything already scheduled runs:
+    /// `now` while the ready queue holds work, else the earliest timer.
+    /// `None` when nothing is scheduled.
+    pub fn next_event_time(&self) -> Option<Nanos> {
+        let ready = self.kernel.ready.queue.lock();
+        if !ready.expect("ready queue lock poisoned").is_empty() {
+            return Some(self.now());
+        }
+        self.kernel.timers.borrow().peek().map(|Reverse(e)| e.when)
+    }
+
+    /// Deadline of the `run_until` in progress (`Nanos(u64::MAX)` under
+    /// [`Sim::run`]): no timer later than it fires in this run.
+    pub fn run_deadline(&self) -> Nanos {
+        self.kernel.deadline.get()
     }
 }
 
@@ -529,6 +635,77 @@ mod tests {
         sim.run();
         assert!(hit.get());
         assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn actions_take_the_slots_of_task_wakeups() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let note = |s: &'static str| {
+            let log = Rc::clone(&log);
+            Rc::new(move || log.borrow_mut().push(s)) as Action
+        };
+        // Ready queue: FIFO across task polls and deferred actions.
+        let l = Rc::clone(&log);
+        sim.spawn("a", async move { l.borrow_mut().push("a") });
+        h.defer(note("defer"));
+        let (l, h2) = (Rc::clone(&log), h.clone());
+        sim.spawn("b", async move {
+            l.borrow_mut().push("b");
+            // Timers: equal deadlines pop in registration order,
+            // whether they wake a task or run an action.
+            h2.at(
+                Nanos(5),
+                Rc::new({
+                    let l = Rc::clone(&l);
+                    move || l.borrow_mut().push("at-1")
+                }),
+            );
+            h2.sleep(Nanos(5)).await;
+            l.borrow_mut().push("b-woke");
+        });
+        h.at(Nanos(5), note("at-0"));
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec!["a", "defer", "b", "at-0", "at-1", "b-woke"]
+        );
+    }
+
+    #[test]
+    fn next_event_time_and_deadline_are_visible() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        assert_eq!(h.next_event_time(), None);
+        h.at(Nanos(7), Rc::new(|| {}));
+        assert_eq!(h.next_event_time(), Some(Nanos(7)));
+        let h2 = h.clone();
+        let seen = Rc::new(Cell::new(Nanos::ZERO));
+        let s2 = Rc::clone(&seen);
+        h.at(Nanos(3), Rc::new(move || s2.set(h2.run_deadline())));
+        sim.run_until(Nanos(4));
+        assert_eq!(seen.get(), Nanos(4));
+        assert_eq!(h.next_event_time(), Some(Nanos(7)));
+    }
+
+    #[test]
+    fn dropping_a_sim_drops_pending_work() {
+        let held = Rc::new(());
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let (a, b, c) = (Rc::clone(&held), Rc::clone(&held), Rc::clone(&held));
+        // A task blocked forever, a timer action, a deferred action.
+        sim.spawn("stuck", async move {
+            let _a = a;
+            std::future::pending::<()>().await;
+        });
+        h.at(Nanos(10), Rc::new(move || drop(Rc::clone(&b))));
+        sim.run_until(Nanos(1));
+        h.defer(Rc::new(move || drop(Rc::clone(&c))));
+        assert_eq!(Rc::strong_count(&held), 4);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 
     #[test]

@@ -33,10 +33,10 @@ pub mod workload;
 
 pub use cache::{CacheConfig, CacheModel};
 pub use cpu::{Core, Machine, PowerModel, DEFAULT_QUANTUM};
-pub use exec::{JoinHandle, Sim, SimHandle, TaskId};
+pub use exec::{Action, JoinHandle, Sim, SimHandle, TaskId};
 pub use fault::{CrashPoint, DmaFault, FaultConfig, FaultLog, FaultPlan, SilentCorruption};
 pub use rng::{stream_seed, SimRng};
-pub use sync::{Chan, Notify};
+pub use sync::{Chan, Notify, NotifyWaiter};
 pub use time::Nanos;
 pub use trace::{Divergence, Trace, TraceEvent, Tracer};
 pub use workload::{Arrival, ArrivalDist, LenDist, WorkloadConfig, WorkloadPlan};

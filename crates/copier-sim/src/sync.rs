@@ -107,6 +107,35 @@ impl Notify {
         }
     }
 
+    /// Registers `waker` exactly as a first poll of `notified()` would at
+    /// this point: a stored permit is consumed (the returned waiter has
+    /// already fired), otherwise the waiter joins the queue in the same
+    /// position a pending `Notified` would take. For code that stands in
+    /// for a suspended task's poll without running it; the task later
+    /// checks [`NotifyWaiter::fired`].
+    pub fn register_waker(&self, waker: Waker) -> NotifyWaiter {
+        if self.try_take_permit() {
+            return NotifyWaiter(Rc::new(RefCell::new(Waiter {
+                fired: true,
+                ..Waiter::default()
+            })));
+        }
+        NotifyWaiter(self.register(waker))
+    }
+
+    /// Withdraws a waiter registered with [`Notify::register_waker`] that
+    /// has not fired, as if its task had stopped waiting.
+    pub fn withdraw(&self, w: &NotifyWaiter) {
+        debug_assert!(
+            !w.fired(),
+            "withdrawing a fired waiter loses a notification"
+        );
+        let mut inner = self.inner.borrow_mut();
+        if let Some(i) = inner.waiters.iter().rposition(|x| Rc::ptr_eq(x, &w.0)) {
+            inner.waiters.remove(i);
+        }
+    }
+
     fn try_take_permit(&self) -> bool {
         let mut inner = self.inner.borrow_mut();
         if inner.permits > 0 {
@@ -125,6 +154,16 @@ impl Notify {
         }));
         self.inner.borrow_mut().waiters.push_back(Rc::clone(&w));
         w
+    }
+}
+
+/// A waiter registered by [`Notify::register_waker`].
+pub struct NotifyWaiter(Rc<RefCell<Waiter>>);
+
+impl NotifyWaiter {
+    /// Whether a notification has been delivered to this waiter.
+    pub fn fired(&self) -> bool {
+        self.0.borrow().fired
     }
 }
 
@@ -491,5 +530,24 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
+    }
+
+    #[test]
+    fn registered_waker_queues_like_a_pending_wait() {
+        let n = Notify::new();
+        let w = Waker::noop().clone();
+        // A stored permit is consumed, as a first poll would consume it.
+        n.notify_one();
+        assert!(n.register_waker(w.clone()).fired());
+        let a = n.register_waker(w.clone());
+        let b = n.register_waker(w.clone());
+        assert!(!a.fired() && !b.fired());
+        // Withdrawn waiters are skipped; the rest fire in queue order.
+        n.withdraw(&a);
+        n.notify_one();
+        assert!(!a.fired() && b.fired());
+        // Nobody left waiting: the next notification is stored.
+        n.notify_one();
+        assert!(n.register_waker(w).fired());
     }
 }

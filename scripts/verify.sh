@@ -109,4 +109,13 @@ echo "BENCH_soak.json OK"
 # regression net over the corruption-draw wire format and the service's
 # round structure.
 REPRO_REPLAY=1 cargo test -q --offline --locked --test integrity repro_corpus_replays_identically
+# The idle corpus (tests/repros/idle-*.cptr, recorded before idle ticks
+# existed) pins the idle spin's timeline: lockstep replay plus golden end
+# time, stats vector, control-plane counters and per-core busy time.
+REPRO_REPLAY=1 cargo test -q --offline --locked --test idle_corpus idle_corpus_replays_identically
 echo "repro corpus OK"
+
+# Core differential (DESIGN.md §19), optimized: the driverless core must
+# reproduce the task-driven reference core's schedule exactly.
+cargo test -q --release --offline --locked -p copier-bench --test core_differential
+echo "core differential OK"

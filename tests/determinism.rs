@@ -152,3 +152,39 @@ fn different_seeds_differ_in_data_not_structure() {
     // structural schedule (copy sizes → service work) is identical here.
     assert_eq!(a.0.len(), b.0.len());
 }
+
+/// A finished simulation frees the program it ran: once the `Sim` is
+/// dropped, nothing — no blocked task, pending timer or deferred action
+/// — keeps the physical memory or the service alive, even with DMA
+/// channels and a journal in play.
+#[test]
+fn dropping_a_finished_sim_frees_the_program() {
+    use copier::core::JournalStore;
+    let (pm, svc) = {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let os = Os::boot(&h, Machine::new(&h, 2), 256);
+        let svc = os.install_copier(
+            vec![os.machine.core(1)],
+            CopierConfig {
+                use_dma: true,
+                journal: Some(JournalStore::new()),
+                ..Default::default()
+            },
+        );
+        let lib = os.spawn_process().lib();
+        let src = lib.uspace.mmap(64 * 1024, Prot::RW, true).unwrap();
+        let dst = lib.uspace.mmap(64 * 1024, Prot::RW, true).unwrap();
+        let (core, svc2) = (os.machine.core(0), Rc::clone(&svc));
+        sim.spawn("client", async move {
+            lib.amemcpy(&core, dst, src, 64 * 1024).await.unwrap();
+            assert!(lib.csync(&core, dst, 64 * 1024).await.is_ok());
+            svc2.stop();
+        });
+        sim.run();
+        assert!(svc.stats().tasks_completed > 0);
+        (Rc::downgrade(&os.pm), Rc::downgrade(&svc))
+    };
+    assert!(pm.upgrade().is_none(), "PhysMem outlived its simulation");
+    assert!(svc.upgrade().is_none(), "Copier outlived its simulation");
+}
